@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks: taint-policy kernels, core tick
- * throughput per IFT mode, and full differential-run latency. These
- * underpin the wall-clock numbers of the experiment harnesses.
+ * throughput per IFT mode, swap-packet loads, and full
+ * differential-run latency. These underpin the wall-clock numbers of
+ * the experiment harnesses.
  */
 
 #include <benchmark/benchmark.h>
@@ -82,6 +83,37 @@ BENCHMARK(BM_CoreTick)
     ->Arg(static_cast<int>(ift::IftMode::Off))
     ->Arg(static_cast<int>(ift::IftMode::CellIFT))
     ->Arg(static_cast<int>(ift::IftMode::DiffIFT));
+
+/**
+ * One swap-packet load (SwapRuntime::start/advance) cycling through
+ * the Spectre-V1 schedule that BM_DualRun simulates. With undo:1 each
+ * load runs inside its own undo session, as a load under an open
+ * lockstep checkpoint does.
+ */
+void
+BM_SwapLoad(benchmark::State &state)
+{
+    const bool undo = state.range(0) != 0;
+    auto poc = bench::spectreV1();
+    swapmem::Memory mem;
+    mem.installSecret(poc.data.secret.data(), poc.data.secret.size());
+    swapmem::SwapRuntime runtime(poc.schedule);
+    for (auto _ : state) {
+        if (undo)
+            mem.beginUndo();
+        if (!runtime.started() ||
+            runtime.cursor() + 1 == poc.schedule.packets.size()) {
+            runtime = swapmem::SwapRuntime(poc.schedule);
+            benchmark::DoNotOptimize(runtime.start(mem));
+        } else {
+            benchmark::DoNotOptimize(runtime.advance(mem));
+        }
+        if (undo)
+            mem.discardUndo();
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_SwapLoad)->ArgName("undo")->Arg(0)->Arg(1);
 
 void
 BM_DualRun(benchmark::State &state)

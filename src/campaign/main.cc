@@ -24,6 +24,9 @@
  * ledger as a regression suite.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -131,15 +134,25 @@ usage(const char *argv0)
         argv0);
 }
 
-bool
+/**
+ * Strict unsigned decimal: digits only (no sign, whitespace or
+ * suffix) and no overflow. Returns nullptr, or why @p text was
+ * rejected.
+ */
+const char *
 parseUint(const char *text, uint64_t &out)
 {
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return "not an unsigned decimal integer";
+    errno = 0;
     char *end = nullptr;
     unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        return false;
+    if (*end != '\0')
+        return "not an unsigned decimal integer";
+    if (errno == ERANGE)
+        return "out of range";
     out = value;
-    return true;
+    return nullptr;
 }
 
 bool
@@ -188,15 +201,32 @@ main(int argc, char **argv)
             std::fprintf(stderr, "bad value for %s\n", arg.c_str());
             std::exit(2);
         };
+        // An unsigned flag value in [lo, hi], or exit 2 saying why not.
+        auto uintValue = [&](uint64_t lo, uint64_t hi) -> uint64_t {
+            const char *text = value();
+            uint64_t n = 0;
+            const char *why = parseUint(text, n);
+            if (why == nullptr && (n < lo || n > hi))
+                why = "out of range";
+            if (why != nullptr) {
+                std::fprintf(stderr,
+                             "bad value for %s: '%s' is %s "
+                             "(expected %llu..%llu)\n",
+                             arg.c_str(), text, why,
+                             static_cast<unsigned long long>(lo),
+                             static_cast<unsigned long long>(hi));
+                std::exit(2);
+            }
+            return n;
+        };
+        constexpr uint64_t kU32 = UINT32_MAX;
+        constexpr uint64_t kU64 = UINT64_MAX;
 
-        uint64_t n = 0;
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
         } else if (arg == "--workers") {
-            if (!parseUint(value(), n) || n == 0)
-                bad();
-            options.workers = static_cast<unsigned>(n);
+            options.workers = static_cast<unsigned>(uintValue(1, kU32));
         } else if (arg == "--policy") {
             const std::string policy = value();
             if (policy == "replicas")
@@ -246,39 +276,29 @@ main(int argc, char **argv)
             options.fuzzer.model_mask = mask;
             templates_flag = true;
         } else if (arg == "--iters") {
-            if (!parseUint(value(), options.total_iterations))
-                bad();
+            options.total_iterations = uintValue(0, kU64);
         } else if (arg == "--seconds") {
             if (!parseDouble(value(), options.wall_seconds) ||
                 options.wall_seconds < 0.0) {
                 bad();
             }
         } else if (arg == "--epoch") {
-            if (!parseUint(value(), options.epoch_iterations) ||
-                options.epoch_iterations == 0) {
-                bad();
-            }
+            options.epoch_iterations = uintValue(1, kU64);
         } else if (arg == "--batch") {
-            if (!parseUint(value(), options.batch_iterations) ||
-                options.batch_iterations == 0) {
-                bad();
-            }
+            options.batch_iterations = uintValue(1, kU64);
         } else if (arg == "--no-steal") {
             options.steal_batches = false;
         } else if (arg == "--batch-retries") {
-            if (!parseUint(value(), n))
-                bad();
-            options.batch_retries = static_cast<unsigned>(n);
+            options.batch_retries =
+                static_cast<unsigned>(uintValue(0, kU32));
         } else if (arg == "--batch-deadline") {
             if (!parseDouble(value(), options.batch_deadline_sec) ||
                 options.batch_deadline_sec < 0.0) {
                 bad();
             }
         } else if (arg == "--kind-disable") {
-            if (!parseUint(value(), n))
-                bad();
             options.kind_disable_failures =
-                static_cast<unsigned>(n);
+                static_cast<unsigned>(uintValue(0, kU32));
         } else if (arg == "--autosave-sec") {
             if (!parseDouble(value(), options.autosave_sec) ||
                 options.autosave_sec < 0.0) {
@@ -287,20 +307,16 @@ main(int argc, char **argv)
         } else if (arg == "--inject-faults") {
             fault_spec = value();
         } else if (arg == "--master-seed") {
-            if (!parseUint(value(), options.master_seed))
-                bad();
+            options.master_seed = uintValue(0, kU64);
         } else if (arg == "--steals") {
-            if (!parseUint(value(), n))
-                bad();
-            options.steals_per_epoch = static_cast<unsigned>(n);
+            options.steals_per_epoch =
+                static_cast<unsigned>(uintValue(0, kU32));
         } else if (arg == "--corpus-shards") {
-            if (!parseUint(value(), n) || n == 0)
-                bad();
-            options.corpus_shards = static_cast<unsigned>(n);
+            options.corpus_shards =
+                static_cast<unsigned>(uintValue(1, kU32));
         } else if (arg == "--corpus-cap") {
-            if (!parseUint(value(), n) || n == 0)
-                bad();
-            options.corpus_shard_cap = static_cast<unsigned>(n);
+            options.corpus_shard_cap =
+                static_cast<unsigned>(uintValue(1, kU32));
         } else if (arg == "--out") {
             out_path = value();
         } else if (arg == "--corpus-in") {

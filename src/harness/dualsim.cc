@@ -43,7 +43,11 @@ gatesAllClosed(const ift::ControlTrace &mine,
     // Word-wide prefix compare over the parallel sig/value arrays:
     // two memcmps replace the per-record loop on the hottest
     // comparison in the lockstep driver.
+    // An empty trace matches trivially; its data pointers may be null,
+    // which memcmp must not receive even for a zero length.
     size_t n = mine.size();
+    if (n == 0)
+        return true;
     return std::memcmp(mine.sigsData(), sibling.sigsData(),
                        n * sizeof(uint32_t)) == 0 &&
            std::memcmp(mine.valuesData(), sibling.valuesData(),

@@ -1,7 +1,11 @@
 #include "swapmem/memory.hh"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 
 #include "util/logging.hh"
 
@@ -9,10 +13,57 @@ namespace dejavuzz::swapmem {
 
 using ift::TV;
 
+static_assert(std::endian::native == std::endian::little,
+              "loadBlock stores words as their in-memory bytes");
+
+namespace {
+
+constexpr size_t kImageBytes = 2 * kMemBytes; ///< data + taint
+
+/** Dirty-mask bits of the pages overlapping [begin, end), begin < end. */
+uint64_t
+pageMask(uint64_t begin, uint64_t end)
+{
+    const uint64_t first = begin / kPageBytes;
+    const uint64_t last = (end - 1) / kPageBytes;
+    return (~0ULL >> (63 - last)) & (~0ULL << first);
+}
+
+/** End of [addr, addr + bytes) clamped to the image (<= addr: empty). */
+uint64_t
+clampEnd(uint64_t addr, uint64_t bytes)
+{
+    if (addr >= kMemBytes)
+        return addr;
+    return bytes < kMemBytes - addr ? addr + bytes : kMemBytes;
+}
+
+uint64_t
+load64(const uint8_t *p)
+{
+    uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+} // namespace
+
 Memory::Memory()
 {
-    data_.assign(kMemBytes, 0);
-    taint_.assign(kMemBytes, 0);
+    // Anonymous pages read as zero and are faulted in on first write;
+    // unlike calloc, this holds for every construction, not only for
+    // the ones the allocator happens to serve from fresh pages.
+    void *image = mmap(nullptr, kImageBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (image == MAP_FAILED)
+        throw std::bad_alloc();
+    data_ = static_cast<uint8_t *>(image);
+    taint_ = data_ + kMemBytes;
+}
+
+Memory::~Memory()
+{
+    munmap(data_, kImageBytes);
 }
 
 void
@@ -23,8 +74,8 @@ Memory::reset()
         unsigned page = static_cast<unsigned>(std::countr_zero(dirty));
         dirty &= dirty - 1;
         uint64_t base = static_cast<uint64_t>(page) * kPageBytes;
-        std::memset(&data_[base], 0, kPageBytes);
-        std::memset(&taint_[base], 0, kPageBytes);
+        std::memset(data_ + base, 0, kPageBytes);
+        std::memset(taint_ + base, 0, kPageBytes);
     }
     dirty_pages_ = 0;
     secret_prot_ = SecretProt::Open;
@@ -42,16 +93,16 @@ Memory::copyFrom(const Memory &other)
         unsigned page = static_cast<unsigned>(std::countr_zero(stale));
         stale &= stale - 1;
         uint64_t base = static_cast<uint64_t>(page) * kPageBytes;
-        std::memset(&data_[base], 0, kPageBytes);
-        std::memset(&taint_[base], 0, kPageBytes);
+        std::memset(data_ + base, 0, kPageBytes);
+        std::memset(taint_ + base, 0, kPageBytes);
     }
     uint64_t live = other.dirty_pages_;
     while (live != 0) {
         unsigned page = static_cast<unsigned>(std::countr_zero(live));
         live &= live - 1;
         uint64_t base = static_cast<uint64_t>(page) * kPageBytes;
-        std::memcpy(&data_[base], &other.data_[base], kPageBytes);
-        std::memcpy(&taint_[base], &other.taint_[base], kPageBytes);
+        std::memcpy(data_ + base, other.data_ + base, kPageBytes);
+        std::memcpy(taint_ + base, other.taint_ + base, kPageBytes);
     }
     dirty_pages_ = other.dirty_pages_;
     secret_prot_ = other.secret_prot_;
@@ -72,10 +123,8 @@ Memory::setByte(uint64_t addr, uint8_t value, bool tainted)
 {
     if (addr >= kMemBytes)
         return;
-    if (undo_active_) {
-        undo_.push_back(UndoRec{static_cast<uint32_t>(addr),
-                                data_[addr], taint_[addr]});
-    }
+    if (undo_active_)
+        logByte(addr);
     dirty_pages_ |= 1ULL << (addr / kPageBytes);
     data_[addr] = value;
     taint_[addr] = tainted ? 1 : 0;
@@ -121,13 +170,40 @@ Memory::fetchWord(uint64_t addr) const
 }
 
 void
+Memory::logByte(uint64_t addr)
+{
+    undo_.push_back(UndoRec{static_cast<uint32_t>(addr), data_[addr],
+                            taint_[addr]});
+}
+
+void
 Memory::loadBlock(uint64_t addr, const uint32_t *words, size_t count)
 {
-    for (size_t i = 0; i < count; ++i) {
-        uint32_t word = words[i];
-        for (unsigned b = 0; b < 4; ++b) {
-            setByte(addr + 4 * i + b,
-                    static_cast<uint8_t>(word >> (8 * b)), false);
+    const uint64_t end = clampEnd(addr, 4 * uint64_t{count});
+    if (end <= addr)
+        return;
+    const uint8_t *src = reinterpret_cast<const uint8_t *>(words);
+    dirty_pages_ |= pageMask(addr, end);
+    if (!undo_active_) {
+        std::memcpy(data_ + addr, src, end - addr);
+        std::memset(taint_ + addr, 0, end - addr);
+        return;
+    }
+    // A byte that already holds its new value, untainted, needs
+    // neither a store nor an undo record.
+    for (uint64_t a = addr; a < end; a += 8) {
+        const uint64_t n = std::min<uint64_t>(8, end - a);
+        const uint8_t *from = src + (a - addr);
+        if (n == 8 && load64(data_ + a) == load64(from) &&
+            load64(taint_ + a) == 0) {
+            continue;
+        }
+        for (uint64_t i = 0; i < n; ++i) {
+            if (data_[a + i] != from[i] || taint_[a + i] != 0) {
+                logByte(a + i);
+                data_[a + i] = from[i];
+                taint_[a + i] = 0;
+            }
         }
     }
 }
@@ -135,8 +211,35 @@ Memory::loadBlock(uint64_t addr, const uint32_t *words, size_t count)
 void
 Memory::zeroRange(uint64_t addr, uint64_t bytes)
 {
-    for (uint64_t i = 0; i < bytes; ++i)
-        setByte(addr + i, 0, false);
+    const uint64_t end = clampEnd(addr, bytes);
+    if (end <= addr)
+        return;
+    // Clean pages are already zero; zeroing never dirties a page.
+    uint64_t dirty = dirty_pages_ & pageMask(addr, end);
+    while (dirty != 0) {
+        const uint64_t page = std::countr_zero(dirty);
+        dirty &= dirty - 1;
+        const uint64_t lo = std::max(addr, page * kPageBytes);
+        const uint64_t hi = std::min(end, (page + 1) * kPageBytes);
+        if (!undo_active_) {
+            std::memset(data_ + lo, 0, hi - lo);
+            std::memset(taint_ + lo, 0, hi - lo);
+            continue;
+        }
+        // Only nonzero bytes change, so only they are logged.
+        for (uint64_t a = lo; a < hi; a += 8) {
+            const uint64_t n = std::min<uint64_t>(8, hi - a);
+            if (n == 8 && (load64(data_ + a) | load64(taint_ + a)) == 0)
+                continue;
+            for (uint64_t b = a; b < a + n; ++b) {
+                if ((data_[b] | taint_[b]) != 0) {
+                    logByte(b);
+                    data_[b] = 0;
+                    taint_[b] = 0;
+                }
+            }
+        }
+    }
 }
 
 isa::ExcCause

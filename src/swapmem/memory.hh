@@ -32,10 +32,24 @@ enum class SecretProt : uint8_t {
 /** Kind of access being permission-checked. */
 enum class AccessKind : uint8_t { Load, Store, Fetch };
 
+/**
+ * One DUT instance's physical image: a data byte and a taint byte per
+ * address in [0, kMemBytes).
+ *
+ * Storage: both images come from one anonymous mapping that the OS
+ * zero-fills and faults in page by page, so a Memory costs physical
+ * memory only for the pages a run writes. A page whose dirty bit is
+ * clear is all-zero in both images; reset(), copyFrom() and
+ * zeroRange() rely on that and never touch clean pages. Memory is
+ * neither copyable nor movable (use copyFrom()).
+ */
 class Memory
 {
   public:
     Memory();
+    ~Memory();
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
 
     /**
      * Restore the pristine all-zero image, reusing the allocation.
@@ -68,9 +82,17 @@ class Memory
     /** 32-bit instruction fetch word. */
     uint32_t fetchWord(uint64_t addr) const;
 
-    /** Copy a block in (used by the swap runtime packet loader). */
+    /**
+     * Copy little-endian words in as untainted bytes (the swap runtime
+     * packet loader). Bytes past the image are dropped. With an undo
+     * log open, only bytes whose value or taint changes are logged.
+     */
     void loadBlock(uint64_t addr, const uint32_t *words, size_t count);
-    /** Zero-fill a range (clears taint as well). */
+    /**
+     * Zero-fill a range, clearing taint as well; the range is clamped
+     * to the image. Clean pages are skipped (they are already zero),
+     * and with an undo log open only nonzero bytes are logged.
+     */
     void zeroRange(uint64_t addr, uint64_t bytes);
 
     // --- permissions ----------------------------------------------------
@@ -123,14 +145,18 @@ class Memory
         uint8_t taint;
     };
 
-    std::vector<uint8_t> data_;
-    std::vector<uint8_t> taint_;
+    void logByte(uint64_t addr);
+
+    /** kMemBytes each, carved from one anonymous mapping. */
+    uint8_t *data_ = nullptr;
+    uint8_t *taint_ = nullptr;
     SecretProt secret_prot_ = SecretProt::Open;
     bool victim_supervisor_ = false;
     bool secret_swapped_ = false;
     bool undo_active_ = false;
     std::vector<UndoRec> undo_;
-    /** One bit per page with any write since the last reset. */
+    /** One bit per page that may hold a nonzero data or taint byte;
+     *  set by every write, cleared only by reset()/copyFrom(). */
     uint64_t dirty_pages_ = 0;
     static_assert(kMemBytes / kPageBytes <= 64,
                   "dirty-page mask is a single 64-bit word");

@@ -1,5 +1,7 @@
 #include "swapmem/packet.hh"
 
+#include <iterator>
+
 #include "util/logging.hh"
 
 namespace dejavuzz::swapmem {
@@ -104,13 +106,25 @@ void
 SwapRuntime::loadCurrent(Memory &mem)
 {
     const SwapPacket &packet = current();
-    mem.zeroRange(kSwapBase, kSwapSize);
-    std::vector<uint32_t> words;
-    words.reserve(packet.instrs.size());
-    for (const auto &instr : packet.instrs)
-        words.push_back(isa::encode(instr));
-    dv_assert(words.size() * 4 <= kSwapSize);
-    mem.loadBlock(kSwapBase, words.data(), words.size());
+    const uint64_t packet_bytes = 4 * packet.instrs.size();
+    dv_assert(packet_bytes <= kSwapSize);
+    // Zero only the region's tail: the packet overwrites the rest,
+    // so no byte is stored (or undo-logged) twice.
+    mem.zeroRange(kSwapBase + packet_bytes, kSwapSize - packet_bytes);
+    // Encode through a fixed stack buffer: a packet load allocates
+    // nothing, whatever the packet length.
+    uint32_t words[64];
+    uint64_t addr = kSwapBase;
+    size_t used = 0;
+    for (const auto &instr : packet.instrs) {
+        words[used++] = isa::encode(instr);
+        if (used == std::size(words)) {
+            mem.loadBlock(addr, words, used);
+            addr += 4 * used;
+            used = 0;
+        }
+    }
+    mem.loadBlock(addr, words, used);
 
     // Update the secret's protection when entering the transient
     // packet (the paper updates permissions after all training).
