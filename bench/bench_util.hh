@@ -12,16 +12,25 @@
 #include <cstdlib>
 #include <string>
 
+#include "util/parse.hh"
+
 namespace dejavuzz::bench {
 
-/** Integer knob from the environment with a default. */
+/** Integer knob from the environment with a default; a value that is
+ *  not an unsigned decimal integer exits 2 with a diagnostic. */
 inline uint64_t
 envKnob(const char *name, uint64_t fallback)
 {
     const char *value = std::getenv(name);
     if (value == nullptr || *value == '\0')
         return fallback;
-    return std::strtoull(value, nullptr, 0);
+    uint64_t n = 0;
+    if (const char *why = parseUnsigned(value, n)) {
+        std::fprintf(stderr, "bad value for %s: '%s' is %s\n", name,
+                     value, why);
+        std::exit(2);
+    }
+    return n;
 }
 
 class Stopwatch

@@ -1,8 +1,6 @@
 #include "campaign/campaign_dir.hh"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,76 +17,6 @@ namespace dejavuzz::campaign {
 namespace {
 
 namespace fs = std::filesystem;
-
-/** Strict non-negative integer extraction from a parsed meta line.
- *  Mirrors report::Fields::u64 (src/report/campaign_log.cc) — the
- *  two must stay behaviorally in sync so meta.json and the JSONL
- *  log reject the same malformed values. */
-bool
-metaU64(const report::JsonObject &obj, const char *key,
-        uint64_t &out, std::string &error)
-{
-    if (!error.empty())
-        return false;
-    auto it = obj.find(key);
-    if (it == obj.end()) {
-        error = std::string("meta.json: missing field \"") + key +
-                "\"";
-        return false;
-    }
-    const report::JsonValue &value = it->second;
-    bool integral = value.isNumber() && !value.raw.empty();
-    for (char c : value.raw) {
-        if (c < '0' || c > '9')
-            integral = false;
-    }
-    if (!integral) {
-        error = std::string("meta.json: field \"") + key +
-                "\" must be a non-negative integer";
-        return false;
-    }
-    errno = 0;
-    out = std::strtoull(value.raw.c_str(), nullptr, 10);
-    if (errno == ERANGE) {
-        error = std::string("meta.json: field \"") + key +
-                "\" exceeds the 64-bit range";
-        return false;
-    }
-    return true;
-}
-
-bool
-metaStr(const report::JsonObject &obj, const char *key,
-        std::string &out, std::string &error)
-{
-    if (!error.empty())
-        return false;
-    auto it = obj.find(key);
-    if (it == obj.end() || !it->second.isString()) {
-        error = std::string("meta.json: missing string field \"") +
-                key + "\"";
-        return false;
-    }
-    out = it->second.text;
-    return true;
-}
-
-bool
-metaBool(const report::JsonObject &obj, const char *key, bool &out,
-         std::string &error)
-{
-    if (!error.empty())
-        return false;
-    auto it = obj.find(key);
-    if (it == obj.end() ||
-        it->second.kind != report::JsonValue::Kind::Bool) {
-        error = std::string("meta.json: missing boolean field \"") +
-                key + "\"";
-        return false;
-    }
-    out = it->second.boolean;
-    return true;
-}
 
 void
 mismatch(std::vector<std::string> &out, const char *field,
@@ -216,40 +144,31 @@ readMeta(std::istream &is, CampaignMeta &out, std::string *error)
     if (!report::parseFlatJsonObject(line, obj, &json_error))
         return fail("meta.json: " + json_error);
 
+    // Optional fields keep their CampaignMeta defaults: meta.json
+    // files written before the attack-model layer carry no template
+    // mask (the legacy model), and pre-robustness ones no save
+    // generation (0: raw, trailer-less artifacts).
+    CampaignMeta meta;
     std::string field_error;
-    uint64_t meta_version = 0, corpus_version = 0,
-             snapshot_version = 0;
-    metaU64(obj, "meta_version", meta_version, field_error);
-    metaU64(obj, "corpus_version", corpus_version, field_error);
-    metaU64(obj, "snapshot_version", snapshot_version, field_error);
-    metaU64(obj, "master_seed", out.master_seed, field_error);
-    metaU64(obj, "workers", out.workers, field_error);
-    metaStr(obj, "policy", out.policy, field_error);
-    metaStr(obj, "core", out.core, field_error);
-    metaU64(obj, "epoch", out.epoch_iterations, field_error);
-    metaU64(obj, "batch", out.batch_iterations, field_error);
-    metaBool(obj, "steal", out.steal_batches, field_error);
-    metaU64(obj, "steals", out.steals_per_epoch, field_error);
-    // Optional: meta.json files written before the attack-model
-    // layer carry no template mask and imply the legacy model.
-    if (obj.count("templates"))
-        metaU64(obj, "templates", out.model_mask, field_error);
-    else
-        out.model_mask = core::kLegacyModelMask;
-    metaU64(obj, "corpus_shards", out.corpus_shards, field_error);
-    metaU64(obj, "corpus_cap", out.corpus_shard_cap, field_error);
-    // Optional: pre-robustness meta.json files carry no save
-    // generation and vouch for raw (trailer-less) artifacts.
-    if (obj.count("generation"))
-        metaU64(obj, "generation", out.generation, field_error);
-    else
-        out.generation = 0;
-    if (!field_error.empty())
-        return fail(field_error);
-
-    out.meta_version = static_cast<uint32_t>(meta_version);
-    out.corpus_version = static_cast<uint32_t>(corpus_version);
-    out.snapshot_version = static_cast<uint32_t>(snapshot_version);
+    report::FieldReader fields(obj, field_error);
+    fields.read("meta_version", meta.meta_version);
+    fields.read("corpus_version", meta.corpus_version);
+    fields.read("snapshot_version", meta.snapshot_version);
+    fields.read("master_seed", meta.master_seed);
+    fields.read("workers", meta.workers);
+    fields.read("policy", meta.policy);
+    fields.read("core", meta.core);
+    fields.read("epoch", meta.epoch_iterations);
+    fields.read("batch", meta.batch_iterations);
+    fields.read("steal", meta.steal_batches);
+    fields.read("steals", meta.steals_per_epoch);
+    fields.read("templates", meta.model_mask, /*required=*/false);
+    fields.read("corpus_shards", meta.corpus_shards);
+    fields.read("corpus_cap", meta.corpus_shard_cap);
+    fields.read("generation", meta.generation, /*required=*/false);
+    if (!fields.ok())
+        return fail("meta.json: " + field_error);
+    out = std::move(meta);
     return true;
 }
 
@@ -288,11 +207,8 @@ metaMismatches(const CampaignMeta &saved, const CampaignMeta &current)
                 current.steals_per_epoch);
     // Compare as names: "templates: saved same-domain, current
     // same-domain,priv-transition" beats raw mask integers.
-    mismatch(out, "templates",
-             core::modelMaskNames(
-                 static_cast<uint32_t>(saved.model_mask)),
-             core::modelMaskNames(
-                 static_cast<uint32_t>(current.model_mask)));
+    mismatch(out, "templates", core::modelMaskNames(saved.model_mask),
+             core::modelMaskNames(current.model_mask));
     mismatchU64(out, "corpus_shards", saved.corpus_shards,
                 current.corpus_shards);
     mismatchU64(out, "corpus_cap", saved.corpus_shard_cap,
@@ -556,13 +472,11 @@ logTrailerGeneration(const std::string &path, uint64_t &gen)
             file.substr(start, end - start + 1), obj, nullptr)) {
         return false;
     }
-    auto it = obj.find("type");
-    if (it == obj.end() || !it->second.isString() ||
-        it->second.text != "trailer") {
-        return false;
-    }
-    std::string field_error;
-    return metaU64(obj, "generation", gen, field_error);
+    std::string type, field_error;
+    report::FieldReader fields(obj, field_error);
+    fields.read("type", type);
+    fields.read("generation", gen);
+    return fields.ok() && type == "trailer";
 }
 
 } // namespace

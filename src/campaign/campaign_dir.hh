@@ -81,7 +81,7 @@ struct CampaignMeta
     uint64_t steals_per_epoch = 0;
     /** Fleet-wide attack-template mask (`--templates`); absent in
      *  older meta.json files, which imply the legacy single model. */
-    uint64_t model_mask = core::kLegacyModelMask;
+    uint32_t model_mask = core::kLegacyModelMask;
     uint64_t corpus_shards = 0;
     uint64_t corpus_shard_cap = 0;
     /** Save-generation counter: incremented on every save (autosave

@@ -1,10 +1,10 @@
 #include "campaign/faults.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 
 #include "obs/telemetry.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 
 namespace dejavuzz::campaign {
@@ -44,16 +44,6 @@ std::mutex g_mu;
 FaultPoint g_points[kNumFaults];
 Rng g_rng;
 uint64_t g_fired = 0;
-
-bool
-parseNumber(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end && *end == '\0';
-}
 
 bool
 faultByName(const std::string &name, Fault &out)
@@ -107,11 +97,8 @@ armFaults(const std::string &spec, std::string *error)
         std::string value = item.substr(eq + 1);
 
         if (key == "seed") {
-            double v = 0;
-            if (!parseNumber(value, v) || v < 0 ||
-                v != static_cast<uint64_t>(v))
-                return fail("bad seed '" + value + "'");
-            seed = static_cast<uint64_t>(v);
+            if (const char *why = parseUnsigned(value, seed))
+                return fail("seed '" + value + "' is " + why);
             continue;
         }
 
@@ -124,16 +111,15 @@ armFaults(const std::string &spec, std::string *error)
         size_t colon = value.find(':');
         if (colon != std::string::npos) {
             prob_text = value.substr(0, colon);
-            double m = 0;
-            if (!parseNumber(value.substr(colon + 1), m) || m < 0 ||
-                m != static_cast<uint64_t>(m))
-                return fail("bad max count in '" + item + "'");
-            max_fires = static_cast<uint64_t>(m);
+            const std::string max_text = value.substr(colon + 1);
+            if (const char *why = parseUnsigned(max_text, max_fires))
+                return fail("max count '" + max_text + "' in '" + item +
+                            "' is " + why);
         }
         double prob = 0;
-        if (!parseNumber(prob_text, prob) || prob < 0.0 || prob > 1.0)
-            return fail("probability outside [0,1] in '" + item +
-                        "'");
+        if (const char *why = parseFinite(prob_text, prob, 0.0, 1.0))
+            return fail("probability '" + prob_text + "' in '" + item +
+                        "' is " + why + " (expected 0..1)");
 
         auto &point = g_points[static_cast<unsigned>(f)];
         point.prob_num =

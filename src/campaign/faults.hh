@@ -51,7 +51,8 @@ const char *faultName(Fault f);
  * Arm the registry from @p spec (grammar above). Replaces any
  * previous configuration. An empty spec disarms everything. Returns
  * false with a diagnostic in @p error on a malformed spec (unknown
- * kind, probability outside [0, 1], bad number), leaving the
+ * kind; a seed or cap that is not an unsigned decimal integer; a
+ * probability that is not a finite decimal in [0, 1]), leaving the
  * registry disarmed.
  */
 bool armFaults(const std::string &spec, std::string *error = nullptr);

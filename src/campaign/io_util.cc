@@ -225,4 +225,58 @@ readWholeFile(const std::string &path, std::string &out,
     return true;
 }
 
+std::string
+bio::testCaseToHex(const core::TestCase &tc)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::ostringstream blob;
+    writeTestCase(blob, tc);
+    const std::string bytes = blob.str();
+    std::string hex;
+    hex.reserve(bytes.size() * 2);
+    for (unsigned char byte : bytes) {
+        hex.push_back(digits[byte >> 4]);
+        hex.push_back(digits[byte & 0xf]);
+    }
+    return hex;
+}
+
+bool
+bio::testCaseFromHex(std::string_view hex, core::TestCase &tc,
+                     std::string &error)
+{
+    if (hex.size() % 2 != 0) {
+        error = "odd-length hex blob";
+        return false;
+    }
+    auto nibble = [](char c) {
+        if (c >= '0' && c <= '9')
+            return c - '0';
+        if (c >= 'a' && c <= 'f')
+            return c - 'a' + 10;
+        return -1;
+    };
+    std::string bytes;
+    bytes.reserve(hex.size() / 2);
+    for (size_t i = 0; i < hex.size(); i += 2) {
+        const int hi = nibble(hex[i]), lo = nibble(hex[i + 1]);
+        if (hi < 0 || lo < 0) {
+            error = "bad hex digit in blob";
+            return false;
+        }
+        bytes.push_back(static_cast<char>((hi << 4) | lo));
+    }
+    std::istringstream blob(bytes);
+    Reader reader{blob, {}};
+    if (!readTestCase(reader, tc)) {
+        error = reader.error;
+        return false;
+    }
+    if (blob.peek() != std::istream::traits_type::eof()) {
+        error = "trailing bytes after the test case";
+        return false;
+    }
+    return true;
+}
+
 } // namespace dejavuzz::campaign

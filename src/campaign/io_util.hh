@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/seed.hh"
 
@@ -99,6 +100,18 @@ void writeTestCase(std::ostream &os, const core::TestCase &tc);
  */
 bool readTestCase(Reader &in, core::TestCase &tc,
                   uint32_t version = kTestCaseModelVersion);
+
+/** The writeTestCase() bytes of @p tc as lowercase hex: the `case`
+ *  field of quarantine.jsonl records and DVZPOC files. */
+std::string testCaseToHex(const core::TestCase &tc);
+
+/**
+ * Strict inverse of testCaseToHex(): an even number of lowercase hex
+ * digits whose bytes hold exactly one test case, with nothing after
+ * it. Fails with a diagnostic in @p error.
+ */
+bool testCaseFromHex(std::string_view hex, core::TestCase &tc,
+                     std::string &error);
 
 } // namespace dejavuzz::campaign::bio
 

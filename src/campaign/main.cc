@@ -24,8 +24,7 @@
  * ledger as a regression suite.
  */
 
-#include <cctype>
-#include <cerrno>
+#include <cfloat>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +41,7 @@
 #include "obs/telemetry.hh"
 #include "triage/triage.hh"
 #include "uarch/config.hh"
+#include "util/parse.hh"
 
 namespace {
 
@@ -134,38 +134,6 @@ usage(const char *argv0)
         argv0);
 }
 
-/**
- * Strict unsigned decimal: digits only (no sign, whitespace or
- * suffix) and no overflow. Returns nullptr, or why @p text was
- * rejected.
- */
-const char *
-parseUint(const char *text, uint64_t &out)
-{
-    if (!std::isdigit(static_cast<unsigned char>(*text)))
-        return "not an unsigned decimal integer";
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (*end != '\0')
-        return "not an unsigned decimal integer";
-    if (errno == ERANGE)
-        return "out of range";
-    out = value;
-    return nullptr;
-}
-
-bool
-parseDouble(const char *text, double &out)
-{
-    char *end = nullptr;
-    double value = std::strtod(text, &end);
-    if (end == text || *end != '\0')
-        return false;
-    out = value;
-    return true;
-}
-
 } // namespace
 
 int
@@ -201,23 +169,34 @@ main(int argc, char **argv)
             std::fprintf(stderr, "bad value for %s\n", arg.c_str());
             std::exit(2);
         };
-        // An unsigned flag value in [lo, hi], or exit 2 saying why not.
+        // A flag value in [lo, hi], or exit 2 saying why not.
+        auto reject = [&](const char *text, const char *why,
+                          const std::string &range) {
+            std::fprintf(stderr,
+                         "bad value for %s: '%s' is %s (expected %s)\n",
+                         arg.c_str(), text, why, range.c_str());
+            std::exit(2);
+        };
         auto uintValue = [&](uint64_t lo, uint64_t hi) -> uint64_t {
             const char *text = value();
             uint64_t n = 0;
-            const char *why = parseUint(text, n);
-            if (why == nullptr && (n < lo || n > hi))
-                why = "out of range";
-            if (why != nullptr) {
-                std::fprintf(stderr,
-                             "bad value for %s: '%s' is %s "
-                             "(expected %llu..%llu)\n",
-                             arg.c_str(), text, why,
-                             static_cast<unsigned long long>(lo),
-                             static_cast<unsigned long long>(hi));
-                std::exit(2);
+            if (const char *why =
+                    dejavuzz::parseUnsigned(text, n, lo, hi)) {
+                reject(text, why,
+                       std::to_string(lo) + ".." + std::to_string(hi));
             }
             return n;
+        };
+        auto finiteValue = [&](double lo, double hi) -> double {
+            const char *text = value();
+            double x = 0.0;
+            if (const char *why =
+                    dejavuzz::parseFinite(text, x, lo, hi)) {
+                char range[64];
+                std::snprintf(range, sizeof(range), "%g..%g", lo, hi);
+                reject(text, why, range);
+            }
+            return x;
         };
         constexpr uint64_t kU32 = UINT32_MAX;
         constexpr uint64_t kU64 = UINT64_MAX;
@@ -278,10 +257,7 @@ main(int argc, char **argv)
         } else if (arg == "--iters") {
             options.total_iterations = uintValue(0, kU64);
         } else if (arg == "--seconds") {
-            if (!parseDouble(value(), options.wall_seconds) ||
-                options.wall_seconds < 0.0) {
-                bad();
-            }
+            options.wall_seconds = finiteValue(0.0, DBL_MAX);
         } else if (arg == "--epoch") {
             options.epoch_iterations = uintValue(1, kU64);
         } else if (arg == "--batch") {
@@ -292,18 +268,12 @@ main(int argc, char **argv)
             options.batch_retries =
                 static_cast<unsigned>(uintValue(0, kU32));
         } else if (arg == "--batch-deadline") {
-            if (!parseDouble(value(), options.batch_deadline_sec) ||
-                options.batch_deadline_sec < 0.0) {
-                bad();
-            }
+            options.batch_deadline_sec = finiteValue(0.0, DBL_MAX);
         } else if (arg == "--kind-disable") {
             options.kind_disable_failures =
                 static_cast<unsigned>(uintValue(0, kU32));
         } else if (arg == "--autosave-sec") {
-            if (!parseDouble(value(), options.autosave_sec) ||
-                options.autosave_sec < 0.0) {
-                bad();
-            }
+            options.autosave_sec = finiteValue(0.0, DBL_MAX);
         } else if (arg == "--inject-faults") {
             fault_spec = value();
         } else if (arg == "--master-seed") {
@@ -328,10 +298,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace-out") {
             trace_out_path = value();
         } else if (arg == "--heartbeat-sec") {
-            if (!parseDouble(value(), options.heartbeat_sec) ||
-                options.heartbeat_sec < 0.0) {
-                bad();
-            }
+            options.heartbeat_sec = finiteValue(0.0, DBL_MAX);
         } else if (arg == "--minimize") {
             minimize = true;
         } else if (arg == "--triage") {
@@ -342,10 +309,7 @@ main(int argc, char **argv)
             triage = true;
             emit_pocs = true;
         } else if (arg == "--threshold") {
-            if (!parseDouble(value(), threshold) ||
-                threshold < 0.0 || threshold > 1.0) {
-                bad();
-            }
+            threshold = finiteValue(0.0, 1.0);
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -401,8 +365,7 @@ main(int argc, char **argv)
     if (!fault_spec.empty()) {
         std::string error;
         if (!dejavuzz::campaign::armFaults(fault_spec, &error)) {
-            std::fprintf(stderr, "bad --inject-faults spec: %s\n",
-                         error.c_str());
+            std::fprintf(stderr, "%s\n", error.c_str());
             return 2;
         }
     }

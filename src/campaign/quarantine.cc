@@ -1,10 +1,7 @@
 #include "campaign/quarantine.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "campaign/io_util.hh"
 #include "campaign/stats.hh"
@@ -13,89 +10,6 @@
 namespace dejavuzz::campaign {
 
 namespace {
-
-bool
-fieldU64(const report::JsonObject &obj, const char *key,
-         uint64_t &out, std::string &error)
-{
-    if (!error.empty())
-        return false;
-    auto it = obj.find(key);
-    if (it == obj.end()) {
-        error = std::string("missing field \"") + key + "\"";
-        return false;
-    }
-    const report::JsonValue &value = it->second;
-    bool integral = value.isNumber() && !value.raw.empty();
-    for (char c : value.raw) {
-        if (c < '0' || c > '9')
-            integral = false;
-    }
-    if (!integral) {
-        error = std::string("field \"") + key +
-                "\" must be a non-negative integer";
-        return false;
-    }
-    errno = 0;
-    out = std::strtoull(value.raw.c_str(), nullptr, 10);
-    if (errno == ERANGE) {
-        error = std::string("field \"") + key +
-                "\" exceeds the 64-bit range";
-        return false;
-    }
-    return true;
-}
-
-bool
-fieldStr(const report::JsonObject &obj, const char *key,
-         std::string &out, std::string &error)
-{
-    if (!error.empty())
-        return false;
-    auto it = obj.find(key);
-    if (it == obj.end() || !it->second.isString()) {
-        error = std::string("missing string field \"") + key + "\"";
-        return false;
-    }
-    out = it->second.text;
-    return true;
-}
-
-std::string
-hexEncode(const std::string &bytes)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(bytes.size() * 2);
-    for (unsigned char c : bytes) {
-        out.push_back(digits[c >> 4]);
-        out.push_back(digits[c & 0xf]);
-    }
-    return out;
-}
-
-bool
-hexDecode(const std::string &hex, std::string &out)
-{
-    if (hex.size() % 2 != 0)
-        return false;
-    out.clear();
-    out.reserve(hex.size() / 2);
-    auto nibble = [](char c) -> int {
-        if (c >= '0' && c <= '9')
-            return c - '0';
-        if (c >= 'a' && c <= 'f')
-            return c - 'a' + 10;
-        return -1;
-    };
-    for (size_t i = 0; i < hex.size(); i += 2) {
-        int hi = nibble(hex[i]), lo = nibble(hex[i + 1]);
-        if (hi < 0 || lo < 0)
-            return false;
-        out.push_back(static_cast<char>((hi << 4) | lo));
-    }
-    return true;
-}
 
 /** Parse one ledger line; @p error gets the reason on failure. */
 bool
@@ -106,39 +20,26 @@ parseRecord(const std::string &line, QuarantineRecord &rec,
     if (!report::parseFlatJsonObject(line, obj, &error))
         return false;
 
+    report::FieldReader fields(obj, error);
     std::string type;
-    fieldStr(obj, "type", type, error);
-    if (!error.empty())
+    fields.read("type", type);
+    if (!fields.ok())
         return false;
     if (type != "quarantine") {
         error = "unknown record type \"" + type + "\"";
         return false;
     }
 
-    uint64_t worker = 0;
     std::string case_hex;
-    fieldU64(obj, "worker", worker, error);
-    fieldU64(obj, "batch", rec.batch, error);
-    fieldU64(obj, "attempts", rec.attempts, error);
-    fieldStr(obj, "reason", rec.reason, error);
-    fieldStr(obj, "case", case_hex, error);
-    if (!error.empty())
+    fields.read("worker", rec.worker);
+    fields.read("batch", rec.batch);
+    fields.read("attempts", rec.attempts);
+    fields.read("reason", rec.reason);
+    fields.read("case", case_hex);
+    if (!fields.ok())
         return false;
-    rec.worker = static_cast<unsigned>(worker);
-
-    std::string blob;
-    if (!hexDecode(case_hex, blob)) {
-        error = "field \"case\" is not a hex blob";
-        return false;
-    }
-    std::istringstream blob_in(blob);
-    bio::Reader reader{blob_in, {}};
-    if (!bio::readTestCase(reader, rec.tc)) {
-        error = "case blob: " + reader.error;
-        return false;
-    }
-    if (blob_in.peek() != std::char_traits<char>::eof()) {
-        error = "case blob: trailing bytes after the test case";
+    if (!bio::testCaseFromHex(case_hex, rec.tc, error)) {
+        error = "field \"case\": " + error;
         return false;
     }
     return true;
@@ -149,13 +50,11 @@ parseRecord(const std::string &line, QuarantineRecord &rec,
 void
 writeQuarantineRecord(std::ostream &os, const QuarantineRecord &rec)
 {
-    std::ostringstream blob;
-    bio::writeTestCase(blob, rec.tc);
     os << "{\"type\":\"quarantine\",\"worker\":" << rec.worker
        << ",\"batch\":" << rec.batch
        << ",\"attempts\":" << rec.attempts << ",\"reason\":\""
        << jsonEscape(rec.reason) << "\",\"case\":\""
-       << hexEncode(blob.str()) << "\"}\n";
+       << bio::testCaseToHex(rec.tc) << "\"}\n";
 }
 
 bool

@@ -32,6 +32,7 @@
 #include "obs/telemetry.hh"
 #include "replay/replay.hh"
 #include "triage/triage.hh"
+#include "util/parse.hh"
 
 namespace {
 
@@ -144,12 +145,13 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "--threshold needs a value\n");
                 return 2;
             }
-            char *end = nullptr;
-            threshold = std::strtod(argv[++i], &end);
-            if (!end || *end != '\0' || threshold < 0.0 ||
-                threshold > 1.0) {
+            const char *text = argv[++i];
+            if (const char *why =
+                    dejavuzz::parseFinite(text, threshold, 0.0, 1.0)) {
                 std::fprintf(stderr,
-                             "--threshold must be in [0, 1]\n");
+                             "bad value for --threshold: '%s' is %s "
+                             "(expected 0..1)\n",
+                             text, why);
                 return 2;
             }
         } else if (arg == "--poc") {

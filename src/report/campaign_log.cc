@@ -1,114 +1,11 @@
 #include "report/campaign_log.hh"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <istream>
 
 #include "campaign/io_util.hh"
 #include "report/json.hh"
 
 namespace dejavuzz::report {
-
-namespace {
-
-/** Field extraction over one parsed line; collects the first error. */
-class Fields
-{
-  public:
-    Fields(const JsonObject &obj, std::string &error)
-        : obj_(obj), error_(error)
-    {}
-
-    bool
-    ok() const
-    {
-        return error_.empty();
-    }
-
-    void
-    u64(const char *key, uint64_t &out, bool required = true)
-    {
-        const JsonValue *value = find(key, required);
-        if (!value)
-            return;
-        // Parse from the literal token, not the double: counters
-        // like master_seed use the full 64-bit range, which double
-        // cannot represent exactly (and an out-of-range
-        // double->uint64 cast would be UB).
-        bool integral = value->isNumber() && !value->raw.empty();
-        for (char c : value->raw) {
-            if (c < '0' || c > '9')
-                integral = false;
-        }
-        if (!integral) {
-            set(std::string("field \"") + key +
-                "\" must be a non-negative integer");
-            return;
-        }
-        errno = 0;
-        out = std::strtoull(value->raw.c_str(), nullptr, 10);
-        if (errno == ERANGE)
-            set(std::string("field \"") + key +
-                "\" exceeds the 64-bit range");
-    }
-
-    void
-    f64(const char *key, double &out, bool required = true)
-    {
-        const JsonValue *value = find(key, required);
-        if (!value)
-            return;
-        if (!value->isNumber() || value->number < 0.0 ||
-            !std::isfinite(value->number)) {
-            set(std::string("field \"") + key +
-                "\" must be a finite non-negative number");
-            return;
-        }
-        out = value->number;
-    }
-
-    void
-    str(const char *key, std::string &out, bool required = true)
-    {
-        const JsonValue *value = find(key, required);
-        if (!value)
-            return;
-        if (!value->isString()) {
-            set(std::string("field \"") + key +
-                "\" must be a string");
-            return;
-        }
-        out = value->text;
-    }
-
-  private:
-    const JsonValue *
-    find(const char *key, bool required)
-    {
-        if (!ok())
-            return nullptr;
-        auto it = obj_.find(key);
-        if (it == obj_.end()) {
-            if (required)
-                set(std::string("missing field \"") + key + "\"");
-            return nullptr;
-        }
-        return &it->second;
-    }
-
-    void
-    set(const std::string &what)
-    {
-        if (error_.empty())
-            error_ = what;
-    }
-
-    const JsonObject &obj_;
-    std::string &error_;
-};
-
-} // namespace
 
 double
 CampaignLog::timeToFirstBug() const
@@ -175,151 +72,144 @@ parseCampaignLog(std::istream &is, const std::string &name,
             return fail(json_error);
 
         std::string field_error;
-        Fields fields(obj, field_error);
+        FieldReader fields(obj, field_error);
         std::string type;
-        fields.str("type", type);
+        fields.read("type", type);
         if (!fields.ok())
             return fail(field_error);
 
         if (type == "worker") {
             WorkerRow row;
-            fields.u64("worker", row.worker);
-            fields.str("config", row.config);
-            fields.str("variant", row.variant);
-            fields.u64("iterations", row.iterations);
-            fields.u64("simulations", row.simulations);
-            fields.u64("windows", row.windows);
-            fields.u64("coverage_points", row.coverage_points);
-            fields.u64("seeds_imported", row.seeds_imported);
-            fields.u64("bugs", row.bugs);
-            fields.f64("active_seconds", row.active_seconds);
+            fields.read("worker", row.worker);
+            fields.read("config", row.config);
+            fields.read("variant", row.variant);
+            fields.read("iterations", row.iterations);
+            fields.read("simulations", row.simulations);
+            fields.read("windows", row.windows);
+            fields.read("coverage_points", row.coverage_points);
+            fields.read("seeds_imported", row.seeds_imported);
+            fields.read("bugs", row.bugs);
+            fields.read("active_seconds", row.active_seconds);
             if (!fields.ok())
                 return fail(field_error);
             out.workers.push_back(std::move(row));
         } else if (type == "trigger") {
             TriggerRow row;
-            fields.str("kind", row.kind);
-            fields.u64("windows", row.windows);
-            fields.u64("training_overhead", row.training_overhead);
-            fields.u64("effective_overhead",
-                       row.effective_overhead);
+            fields.read("kind", row.kind);
+            fields.read("windows", row.windows);
+            fields.read("training_overhead", row.training_overhead);
+            fields.read("effective_overhead", row.effective_overhead);
             if (!fields.ok())
                 return fail(field_error);
             out.triggers.push_back(std::move(row));
         } else if (type == "epoch") {
             EpochRow row;
-            fields.u64("epoch", row.epoch);
-            fields.u64("iterations", row.iterations);
-            fields.u64("coverage_points", row.coverage_points);
-            fields.u64("distinct_bugs", row.distinct_bugs);
-            fields.u64("corpus_size", row.corpus_size);
-            fields.u64("batches_stolen", row.batches_stolen,
-                       /*required=*/false);
-            fields.u64("steal_idle_ns", row.steal_idle_ns,
-                       /*required=*/false);
-            fields.f64("wall_seconds", row.wall_seconds);
+            fields.read("epoch", row.epoch);
+            fields.read("iterations", row.iterations);
+            fields.read("coverage_points", row.coverage_points);
+            fields.read("distinct_bugs", row.distinct_bugs);
+            fields.read("corpus_size", row.corpus_size);
+            fields.read("batches_stolen", row.batches_stolen,
+                        /*required=*/false);
+            fields.read("steal_idle_ns", row.steal_idle_ns,
+                        /*required=*/false);
+            fields.read("wall_seconds", row.wall_seconds);
             if (!fields.ok())
                 return fail(field_error);
             out.epochs.push_back(row);
         } else if (type == "bug") {
             BugRow row;
-            fields.str("key", row.key);
-            fields.str("description", row.description);
-            fields.u64("worker", row.worker);
-            fields.u64("epoch", row.epoch);
-            fields.u64("iteration", row.iteration);
-            fields.str("config", row.config, /*required=*/false);
-            fields.str("variant", row.variant, /*required=*/false);
-            fields.u64("hits", row.hits);
+            fields.read("key", row.key);
+            fields.read("description", row.description);
+            fields.read("worker", row.worker);
+            fields.read("epoch", row.epoch);
+            fields.read("iteration", row.iteration);
+            fields.read("config", row.config, /*required=*/false);
+            fields.read("variant", row.variant, /*required=*/false);
+            fields.read("hits", row.hits);
             if (!fields.ok())
                 return fail(field_error);
             out.bugs.push_back(std::move(row));
         } else if (type == "heartbeat") {
             HeartbeatRow row;
-            fields.u64("seq", row.seq);
-            fields.f64("wall_seconds", row.wall_seconds);
+            fields.read("seq", row.seq);
+            fields.read("wall_seconds", row.wall_seconds);
             for (unsigned i = 0; i < obs::kNumCtrs; ++i)
-                fields.u64(obs::ctrName(static_cast<obs::Ctr>(i)),
-                           row.counters[i]);
+                fields.read(obs::ctrName(static_cast<obs::Ctr>(i)),
+                            row.counters[i]);
             for (unsigned i = 0; i < obs::kNumGauges; ++i)
-                fields.u64(obs::gaugeName(static_cast<obs::Gauge>(i)),
-                           row.gauges[i]);
+                fields.read(obs::gaugeName(static_cast<obs::Gauge>(i)),
+                            row.gauges[i]);
             for (unsigned i = 0; i < obs::kNumHists; ++i) {
                 const std::string name =
                     obs::histName(static_cast<obs::Hist>(i));
-                fields.u64((name + "_count").c_str(),
-                           row.hist_count[i]);
-                fields.u64((name + "_sum").c_str(), row.hist_sum[i]);
+                fields.read(name + "_count", row.hist_count[i]);
+                fields.read(name + "_sum", row.hist_sum[i]);
             }
-            fields.u64("batch_p50_ns", row.batch_p50_ns,
-                       /*required=*/false);
-            fields.u64("batch_p99_ns", row.batch_p99_ns,
-                       /*required=*/false);
+            fields.read("batch_p50_ns", row.batch_p50_ns,
+                        /*required=*/false);
+            fields.read("batch_p99_ns", row.batch_p99_ns,
+                        /*required=*/false);
             if (!fields.ok())
                 return fail(field_error);
             out.heartbeats.push_back(row);
         } else if (type == "summary") {
             SummaryRow row;
-            fields.u64("workers", row.workers);
-            fields.str("policy", row.policy);
-            fields.u64("master_seed", row.master_seed);
-            fields.str("templates", row.templates,
-                       /*required=*/false);
-            fields.u64("iterations", row.iterations);
-            fields.u64("simulations", row.simulations);
-            fields.u64("windows", row.windows);
-            fields.u64("coverage_points", row.coverage_points);
-            fields.u64("distinct_bugs", row.distinct_bugs);
-            fields.u64("total_reports", row.total_reports);
-            fields.u64("epochs", row.epochs);
-            fields.u64("corpus_size", row.corpus_size);
-            fields.u64("corpus_preloaded", row.corpus_preloaded,
-                       /*required=*/false);
-            fields.u64("corpus_minimized", row.corpus_minimized,
-                       /*required=*/false);
-            fields.u64("coverage_preloaded", row.coverage_preloaded,
-                       /*required=*/false);
-            fields.u64("bugs_restored", row.bugs_restored,
-                       /*required=*/false);
-            fields.u64("reports_restored", row.reports_restored,
-                       /*required=*/false);
-            fields.u64("steals", row.steals);
-            fields.str("sched", row.sched, /*required=*/false);
-            fields.u64("batch", row.batch, /*required=*/false);
-            fields.u64("batches", row.batches, /*required=*/false);
-            fields.u64("batches_stolen", row.batches_stolen,
-                       /*required=*/false);
-            fields.u64("batch_retries", row.batch_retries,
-                       /*required=*/false);
-            fields.u64("batch_deadline_kills",
-                       row.batch_deadline_kills,
-                       /*required=*/false);
-            fields.u64("batches_failed", row.batches_failed,
-                       /*required=*/false);
-            fields.u64("quarantined_seeds", row.quarantined_seeds,
-                       /*required=*/false);
-            fields.u64("kinds_disabled", row.kinds_disabled,
-                       /*required=*/false);
-            fields.u64("steal_idle_ns", row.steal_idle_ns,
-                       /*required=*/false);
-            fields.f64("wall_seconds", row.wall_seconds);
-            fields.f64("iters_per_sec", row.iters_per_sec);
+            fields.read("workers", row.workers);
+            fields.read("policy", row.policy);
+            fields.read("master_seed", row.master_seed);
+            fields.read("templates", row.templates,
+                        /*required=*/false);
+            fields.read("iterations", row.iterations);
+            fields.read("simulations", row.simulations);
+            fields.read("windows", row.windows);
+            fields.read("coverage_points", row.coverage_points);
+            fields.read("distinct_bugs", row.distinct_bugs);
+            fields.read("total_reports", row.total_reports);
+            fields.read("epochs", row.epochs);
+            fields.read("corpus_size", row.corpus_size);
+            fields.read("corpus_preloaded", row.corpus_preloaded,
+                        /*required=*/false);
+            fields.read("corpus_minimized", row.corpus_minimized,
+                        /*required=*/false);
+            fields.read("coverage_preloaded", row.coverage_preloaded,
+                        /*required=*/false);
+            fields.read("bugs_restored", row.bugs_restored,
+                        /*required=*/false);
+            fields.read("reports_restored", row.reports_restored,
+                        /*required=*/false);
+            fields.read("steals", row.steals);
+            fields.read("sched", row.sched, /*required=*/false);
+            fields.read("batch", row.batch, /*required=*/false);
+            fields.read("batches", row.batches, /*required=*/false);
+            fields.read("batches_stolen", row.batches_stolen,
+                        /*required=*/false);
+            fields.read("batch_retries", row.batch_retries,
+                        /*required=*/false);
+            fields.read("batch_deadline_kills",
+                        row.batch_deadline_kills,
+                        /*required=*/false);
+            fields.read("batches_failed", row.batches_failed,
+                        /*required=*/false);
+            fields.read("quarantined_seeds", row.quarantined_seeds,
+                        /*required=*/false);
+            fields.read("kinds_disabled", row.kinds_disabled,
+                        /*required=*/false);
+            fields.read("steal_idle_ns", row.steal_idle_ns,
+                        /*required=*/false);
+            fields.read("wall_seconds", row.wall_seconds);
+            fields.read("iters_per_sec", row.iters_per_sec);
             if (!fields.ok())
                 return fail(field_error);
             out.summary = std::move(row);
             ++summaries;
         } else if (type == "trailer") {
             TrailerRow row;
-            uint64_t crc_field = 0;
-            fields.u64("generation", row.generation);
-            fields.u64("bytes", row.bytes);
-            fields.u64("crc32", crc_field);
+            fields.read("generation", row.generation);
+            fields.read("bytes", row.bytes);
+            fields.read("crc32", row.crc32);
             if (!fields.ok())
                 return fail(field_error);
-            if (crc_field > 0xffffffffull)
-                return fail(
-                    "field \"crc32\" exceeds the 32-bit range");
-            row.crc32 = static_cast<uint32_t>(crc_field);
             if (row.bytes != bytes_before)
                 return fail(
                     "trailer covers " + std::to_string(row.bytes) +

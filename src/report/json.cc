@@ -1,7 +1,11 @@
 #include "report/json.hh"
 
+#include <bit>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
+
+#include "util/parse.hh"
 
 namespace dejavuzz::report {
 
@@ -253,6 +257,82 @@ parseFlatJsonObject(std::string_view line, JsonObject &out,
     if (!cur.done())
         return fail(error, "trailing characters after object", cur);
     return true;
+}
+
+const JsonValue *
+FieldReader::find(std::string_view key, bool required)
+{
+    if (!ok())
+        return nullptr;
+    const auto it = obj_.find(key);
+    if (it != obj_.end())
+        return &it->second;
+    if (required)
+        error_ = "missing field \"" + std::string(key) + "\"";
+    return nullptr;
+}
+
+void
+FieldReader::fail(std::string_view key, const std::string &what)
+{
+    error_ = "field \"" + std::string(key) + "\" " + what;
+}
+
+bool
+FieldReader::readUnsigned(std::string_view key, uint64_t &out,
+                          uint64_t hi, bool required)
+{
+    const JsonValue *value = find(key, required);
+    if (!value)
+        return false;
+    // Parse the literal token, not the double: counters such as
+    // master_seed use all 64 bits, which a double cannot carry.
+    const char *why = value->isNumber()
+                          ? parseUnsigned(value->raw, out, 0, hi)
+                          : "not a number";
+    if (!why)
+        return true;
+    fail(key, why == kOutOfRange
+                  ? "exceeds the " + std::to_string(std::bit_width(hi)) +
+                        "-bit range"
+                  : "must be a non-negative integer");
+    return false;
+}
+
+void
+FieldReader::read(std::string_view key, double &out, bool required)
+{
+    const JsonValue *value = find(key, required);
+    if (value && (!value->isNumber() ||
+                  parseFinite(value->raw, out, 0.0,
+                              std::numeric_limits<double>::max()))) {
+        fail(key, "must be a finite non-negative number");
+    }
+}
+
+void
+FieldReader::read(std::string_view key, std::string &out,
+                  bool required)
+{
+    const JsonValue *value = find(key, required);
+    if (!value)
+        return;
+    if (value->isString())
+        out = value->text;
+    else
+        fail(key, "must be a string");
+}
+
+void
+FieldReader::read(std::string_view key, bool &out, bool required)
+{
+    const JsonValue *value = find(key, required);
+    if (!value)
+        return;
+    if (value->kind == JsonValue::Kind::Bool)
+        out = value->boolean;
+    else
+        fail(key, "must be a boolean");
 }
 
 } // namespace dejavuzz::report

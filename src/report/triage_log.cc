@@ -1,8 +1,6 @@
 #include "report/triage_log.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <istream>
 
 #include "report/json.hh"
@@ -10,98 +8,6 @@
 namespace dejavuzz::report {
 
 namespace {
-
-/** Field extraction over one parsed line; collects the first error.
- *  Mirrors the campaign-log parser's helper, plus booleans (the
- *  portability record is the only boolean-carrying schema). */
-class Fields
-{
-  public:
-    Fields(const JsonObject &obj, std::string &error)
-        : obj_(obj), error_(error)
-    {}
-
-    bool
-    ok() const
-    {
-        return error_.empty();
-    }
-
-    void
-    u64(const char *key, uint64_t &out)
-    {
-        const JsonValue *value = find(key);
-        if (!value)
-            return;
-        bool integral = value->isNumber() && !value->raw.empty();
-        for (char c : value->raw) {
-            if (c < '0' || c > '9')
-                integral = false;
-        }
-        if (!integral) {
-            set(std::string("field \"") + key +
-                "\" must be a non-negative integer");
-            return;
-        }
-        errno = 0;
-        out = std::strtoull(value->raw.c_str(), nullptr, 10);
-        if (errno == ERANGE)
-            set(std::string("field \"") + key +
-                "\" exceeds the 64-bit range");
-    }
-
-    void
-    str(const char *key, std::string &out)
-    {
-        const JsonValue *value = find(key);
-        if (!value)
-            return;
-        if (!value->isString()) {
-            set(std::string("field \"") + key +
-                "\" must be a string");
-            return;
-        }
-        out = value->text;
-    }
-
-    void
-    boolean(const char *key, bool &out)
-    {
-        const JsonValue *value = find(key);
-        if (!value)
-            return;
-        if (value->kind != JsonValue::Kind::Bool) {
-            set(std::string("field \"") + key +
-                "\" must be a boolean");
-            return;
-        }
-        out = value->boolean;
-    }
-
-  private:
-    const JsonValue *
-    find(const char *key)
-    {
-        if (!ok())
-            return nullptr;
-        auto it = obj_.find(key);
-        if (it == obj_.end()) {
-            set(std::string("missing field \"") + key + "\"");
-            return nullptr;
-        }
-        return &it->second;
-    }
-
-    void
-    set(const std::string &what)
-    {
-        if (error_.empty())
-            error_ = what;
-    }
-
-    const JsonObject &obj_;
-    std::string &error_;
-};
 
 bool
 fail(std::string *error, size_t lineno, const std::string &what)
@@ -129,44 +35,44 @@ parseTriageLog(std::istream &is, TriageLog &out, std::string *error)
         if (!parseFlatJsonObject(line, obj, &what))
             return fail(error, lineno, what);
 
-        Fields fields(obj, what);
+        FieldReader fields(obj, what);
         std::string record;
-        fields.str("record", record);
+        fields.read("record", record);
         if (record == "cluster") {
             ClusterRow row;
-            fields.str("id", row.id);
-            fields.str("representative", row.representative);
-            fields.u64("size", row.size);
-            fields.str("members", row.members);
-            fields.str("components", row.components);
+            fields.read("id", row.id);
+            fields.read("representative", row.representative);
+            fields.read("size", row.size);
+            fields.read("members", row.members);
+            fields.read("components", row.components);
             if (!fields.ok())
                 return fail(error, lineno, what);
             log.clusters.push_back(std::move(row));
         } else if (record == "portability") {
             PortabilityRow row;
-            fields.str("key", row.key);
-            fields.str("origin", row.origin);
-            fields.str("variant", row.variant);
-            fields.str("config", row.config);
-            fields.boolean("reproduced", row.reproduced);
-            fields.str("observed", row.observed);
+            fields.read("key", row.key);
+            fields.read("origin", row.origin);
+            fields.read("variant", row.variant);
+            fields.read("config", row.config);
+            fields.read("reproduced", row.reproduced);
+            fields.read("observed", row.observed);
             if (!fields.ok())
                 return fail(error, lineno, what);
             log.portability.push_back(std::move(row));
         } else if (record == "poc") {
             PocRow row;
-            fields.str("cluster", row.cluster);
-            fields.str("key", row.key);
-            fields.str("config", row.config);
-            fields.str("variant", row.variant);
-            fields.str("file", row.file);
-            fields.u64("packets_before", row.packets_before);
-            fields.u64("packets_after", row.packets_after);
-            fields.u64("instrs_before", row.instrs_before);
-            fields.u64("instrs_after", row.instrs_after);
-            fields.u64("effective_before", row.effective_before);
-            fields.u64("effective_after", row.effective_after);
-            fields.u64("oracle_calls", row.oracle_calls);
+            fields.read("cluster", row.cluster);
+            fields.read("key", row.key);
+            fields.read("config", row.config);
+            fields.read("variant", row.variant);
+            fields.read("file", row.file);
+            fields.read("packets_before", row.packets_before);
+            fields.read("packets_after", row.packets_after);
+            fields.read("instrs_before", row.instrs_before);
+            fields.read("instrs_after", row.instrs_after);
+            fields.read("effective_before", row.effective_before);
+            fields.read("effective_after", row.effective_after);
+            fields.read("oracle_calls", row.oracle_calls);
             if (!fields.ok())
                 return fail(error, lineno, what);
             log.pocs.push_back(std::move(row));

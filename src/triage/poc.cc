@@ -1,8 +1,8 @@
 #include "triage/poc.hh"
 
-#include <cctype>
 #include <istream>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "campaign/io_util.hh"
@@ -36,20 +36,6 @@ disasmLine(const isa::Instr &instr)
         os << ", " << isa::regName(instr.rs2);
     os << ", " << instr.imm;
     return os.str();
-}
-
-bool
-hexNibble(char c, uint8_t &out)
-{
-    if (c >= '0' && c <= '9') {
-        out = static_cast<uint8_t>(c - '0');
-        return true;
-    }
-    if (c >= 'a' && c <= 'f') {
-        out = static_cast<uint8_t>(c - 'a' + 10);
-        return true;
-    }
-    return false;
 }
 
 bool
@@ -88,17 +74,7 @@ writePocFile(std::ostream &os, const PocArtifact &poc)
                << "\n";
     }
 
-    std::ostringstream blob;
-    bio::writeTestCase(blob, poc.tc);
-    const std::string bytes = blob.str();
-    static const char digits[] = "0123456789abcdef";
-    std::string hex;
-    hex.reserve(bytes.size() * 2);
-    for (unsigned char byte : bytes) {
-        hex.push_back(digits[byte >> 4]);
-        hex.push_back(digits[byte & 0xf]);
-    }
-    os << "case: " << hex << "\n";
+    os << "case: " << bio::testCaseToHex(poc.tc) << "\n";
     os << "end\n";
 }
 
@@ -110,7 +86,7 @@ readPocFile(std::istream &is, PocArtifact &out, std::string *error)
         return setError(error, "not a DVZPOC 1 file");
 
     PocArtifact poc;
-    bool saw_case = false;
+    std::set<std::string> seen;
     bool saw_end = false;
     while (std::getline(is, line)) {
         if (line.empty() || line[0] == '#')
@@ -120,53 +96,31 @@ readPocFile(std::istream &is, PocArtifact &out, std::string *error)
             break;
         }
         const size_t sep = line.find(": ");
-        std::string field =
-            sep == std::string::npos ? line : line.substr(0, sep);
         if (sep == std::string::npos)
             return setError(error,
                             "malformed PoC line \"" + line + "\"");
+        const std::string field = line.substr(0, sep);
         std::string value = line.substr(sep + 2);
-        if (field == "cluster") {
-            poc.cluster = value;
-        } else if (field == "key") {
-            poc.key = value;
-        } else if (field == "config") {
-            poc.config = value;
-        } else if (field == "variant") {
-            poc.variant = value;
-        } else if (field == "case") {
-            if (value.size() % 2 != 0)
-                return setError(error, "odd-length PoC case blob");
-            std::string bytes;
-            bytes.reserve(value.size() / 2);
-            for (size_t i = 0; i < value.size(); i += 2) {
-                uint8_t hi = 0, lo = 0;
-                if (!hexNibble(value[i], hi) ||
-                    !hexNibble(value[i + 1], lo)) {
-                    return setError(error,
-                                    "bad hex in PoC case blob");
-                }
-                bytes.push_back(
-                    static_cast<char>((hi << 4) | lo));
-            }
-            std::istringstream blob(bytes);
-            bio::Reader reader{blob, {}};
-            if (!bio::readTestCase(reader, poc.tc))
-                return setError(error, "corrupt PoC test case: " +
-                                           reader.error);
-            // The blob must end exactly where the test case does.
-            if (blob.peek() != std::istream::traits_type::eof())
-                return setError(error,
-                                "trailing bytes after PoC test case");
-            saw_case = true;
-        } else {
+        std::string *text = field == "cluster"   ? &poc.cluster
+                            : field == "key"     ? &poc.key
+                            : field == "config"  ? &poc.config
+                            : field == "variant" ? &poc.variant
+                                                 : nullptr;
+        if (!text && field != "case")
             return setError(error,
                             "unknown PoC field \"" + field + "\"");
-        }
+        if (!seen.insert(field).second)
+            return setError(error,
+                            "duplicate PoC field \"" + field + "\"");
+        std::string why;
+        if (text)
+            *text = std::move(value);
+        else if (!bio::testCaseFromHex(value, poc.tc, why))
+            return setError(error, "PoC case blob: " + why);
     }
     if (!saw_end)
         return setError(error, "missing PoC \"end\" terminator");
-    if (!saw_case)
+    if (!seen.count("case"))
         return setError(error, "PoC has no \"case\" field");
     if (poc.key.empty())
         return setError(error, "PoC has no \"key\" field");

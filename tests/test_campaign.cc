@@ -1311,6 +1311,32 @@ TEST(CampaignDir, MetaCarriesTheTemplateMask)
     EXPECT_EQ(loaded.model_mask, core::kLegacyModelMask);
 }
 
+TEST(CampaignDir, MetaRejectsValuesPastTheFieldType)
+{
+    std::stringstream file;
+    campaign::writeMeta(file,
+                        campaign::metaFromOptions(smallCampaign(2, 750)));
+    const std::string line = file.str();
+    // The 32-bit fields must not wrap 2^32 + 1 onto 1 (which would
+    // resume a meta_version 4294967297 directory as version 1).
+    for (const char *field : {"meta_version", "corpus_version",
+                              "snapshot_version", "templates"}) {
+        const std::string key = std::string("\"") + field + "\":";
+        const size_t at = line.find(key);
+        ASSERT_NE(at, std::string::npos) << field;
+        const size_t value = at + key.size();
+        std::string wide = line;
+        wide.replace(value, line.find_first_of(",}", value) - value,
+                     "4294967297");
+        std::stringstream bad(wide);
+        campaign::CampaignMeta loaded;
+        std::string error;
+        EXPECT_FALSE(campaign::readMeta(bad, loaded, &error)) << field;
+        EXPECT_NE(error.find(field), std::string::npos) << error;
+        EXPECT_NE(error.find("32-bit"), std::string::npos) << error;
+    }
+}
+
 TEST(CampaignDir, SaveLoadRoundTrip)
 {
     const std::string dir =

@@ -3,15 +3,19 @@
  * Tests of the fault-tolerant campaign runtime: the deterministic
  * failpoint registry (--inject-faults), the CRC integrity trailer
  * and atomic-write failpoint semantics, torn-generation fallback in
- * the campaign directory, the quarantine ledger, and the headline
+ * the campaign directory, the quarantine ledger, the headline
  * guarantee — a campaign that retries injected batch failures stays
- * bit-identical to the same campaign with no faults armed.
+ * bit-identical to the same campaign with no faults armed — and a
+ * seeded mutation suite over every text artifact a campaign writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,7 +26,12 @@
 #include "campaign/orchestrator.hh"
 #include "campaign/quarantine.hh"
 #include "obs/telemetry.hh"
+#include "report/campaign_log.hh"
+#include "report/triage_log.hh"
+#include "triage/poc.hh"
+#include "triage/triage.hh"
 #include "uarch/config.hh"
+#include "util/rng.hh"
 
 namespace dejavuzz {
 namespace {
@@ -103,6 +112,18 @@ TEST_F(FaultsTest, SpecRejectsMalformedInput)
     EXPECT_FALSE(campaign::armFaults("batch-throw=nope", &error));
     EXPECT_FALSE(campaign::armFaults("seed=-3,enospc=1", &error));
     EXPECT_FALSE(campaign::armFaults("enospc=1:1.5", &error));
+    // Seeds and caps are unsigned decimal integers, probabilities
+    // finite: nothing goes through a double or a base prefix.
+    for (const char *spec :
+         {"seed=0x10,enospc=1", "seed=inf,enospc=1", "seed=1e30,enospc=1",
+          "seed=1.0,enospc=1", "seed=18446744073709551616,enospc=1",
+          "enospc=1:1e3", "enospc=1:-1", "enospc=1:0x2",
+          "batch-throw=nan", "batch-throw=inf", "batch-throw=0x1p-1",
+          "batch-throw= 0.5"}) {
+        error.clear();
+        EXPECT_FALSE(campaign::armFaults(spec, &error)) << spec;
+        EXPECT_FALSE(error.empty()) << spec;
+    }
     // A failed parse must leave the registry disarmed.
     EXPECT_FALSE(campaign::faultsArmed());
     EXPECT_FALSE(campaign::shouldFail(Fault::Enospc));
@@ -126,6 +147,17 @@ TEST_F(FaultsTest, FiringSequenceIsSeededAndCapped)
     for (int i = 0; i < 64; ++i)
         other.push_back(campaign::shouldFail(Fault::BatchThrow));
     EXPECT_NE(first, other);
+
+    // Seeds keep all 64 bits: 2^53 + 1 is not rounded onto 2^53.
+    auto sequence = [](const std::string &seed_spec) {
+        EXPECT_TRUE(campaign::armFaults(seed_spec + ",batch-throw=0.5"));
+        std::vector<bool> fired;
+        for (int i = 0; i < 64; ++i)
+            fired.push_back(campaign::shouldFail(Fault::BatchThrow));
+        return fired;
+    };
+    EXPECT_NE(sequence("seed=9007199254740993"),
+              sequence("seed=9007199254740992"));
 
     ASSERT_TRUE(campaign::armFaults("seed=1,enospc=1:3"));
     unsigned fired = 0;
@@ -321,6 +353,26 @@ TEST_F(FaultsTest, QuarantineRoundTripsAndToleratesTornTail)
     EXPECT_FALSE(
         campaign::loadQuarantineFile(path, loaded, &error));
 
+    // A field value its type cannot hold is corruption too, not a
+    // silently narrowed worker id (and not torn debris: a valid
+    // record follows it).
+    {
+        std::ostringstream rec;
+        campaign::writeQuarantineRecord(rec, records[0]);
+        std::string wide = rec.str();
+        const std::string worker = "\"worker\":1,";
+        ASSERT_NE(wide.find(worker), std::string::npos);
+        wide.replace(wide.find(worker), worker.size(),
+                     "\"worker\":4294967297,");
+        std::ofstream os(path, std::ios::trunc | std::ios::binary);
+        os << rec.str() << wide << rec.str();
+    }
+    error.clear();
+    EXPECT_FALSE(
+        campaign::loadQuarantineFile(path, loaded, &error));
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("worker"), std::string::npos) << error;
+
     // A missing ledger is simply empty.
     loaded.clear();
     EXPECT_TRUE(campaign::loadQuarantineFile(
@@ -398,6 +450,240 @@ TEST_F(FaultsTest, AlwaysHangingBatchesDegradeGracefully)
     // against: skipped iterations never appear as progress.
     for (const auto &sample : stats.epoch_curve)
         EXPECT_EQ(sample.iterations, 0u);
+}
+
+// --- Text ingest mutation suite ----------------------------------------
+
+/** One text artifact of a real campaign and the loader that reads it
+ *  back. Numeric fields in neither set are documented as uint64. */
+struct TextSurface
+{
+    std::string name;
+    std::string text;
+    std::set<std::string> u32_fields;
+    std::set<std::string> float_fields;
+    std::function<bool(std::istream &, std::string &)> load;
+};
+
+/** The five text surfaces, taken from one small campaign. */
+std::vector<TextSurface>
+textSurfaces()
+{
+    TempDir dir;
+    CampaignOptions options = smallCampaign(1, 400);
+    CampaignOrchestrator orchestrator(options);
+    orchestrator.run();
+    const std::vector<campaign::BugRecord> ledger =
+        orchestrator.ledger().entries();
+    EXPECT_GE(ledger.size(), 2u);
+    std::vector<TextSurface> surfaces;
+    std::string error;
+    EXPECT_TRUE(campaign::saveCampaignDir(dir.path, orchestrator,
+                                          options, &error))
+        << error;
+
+    std::string meta;
+    EXPECT_TRUE(campaign::readWholeFile(
+        campaign::campaignDirPaths(dir.path).meta, meta, &error));
+    surfaces.push_back(
+        {"meta.json", meta,
+         {"meta_version", "corpus_version", "snapshot_version",
+          "templates"},
+         {},
+         [](std::istream &is, std::string &why) {
+             campaign::CampaignMeta out;
+             return campaign::readMeta(is, out, &why);
+         }});
+
+    // The --out form of the log: a campaign-dir copy carries a CRC
+    // trailer that rejects every mutation before any field is read.
+    std::ostringstream log;
+    orchestrator.writeJsonl(log);
+    surfaces.push_back(
+        {"campaign.jsonl", log.str(),
+         {"crc32"},
+         {"active_seconds", "wall_seconds", "iters_per_sec"},
+         [](std::istream &is, std::string &why) {
+             report::CampaignLog out;
+             return report::parseCampaignLog(is, "campaign.jsonl", out,
+                                             &why);
+         }});
+
+    triage::FuzzerCache cache;
+    const size_t triaged_bugs = std::min<size_t>(2, ledger.size());
+    const triage::TriageResult triaged = triage::triageLedger(
+        {ledger.begin(), ledger.begin() + triaged_bugs}, {}, cache);
+    EXPECT_FALSE(triaged.pocs.empty());
+    std::ostringstream triage_log;
+    triage::writeTriageJsonl(triage_log, triaged);
+    surfaces.push_back({"triage.jsonl", triage_log.str(), {}, {},
+                        [](std::istream &is, std::string &why) {
+                            report::TriageLog out;
+                            return report::parseTriageLog(is, out,
+                                                          &why);
+                        }});
+
+    std::ostringstream quarantine;
+    for (size_t i = 0; i < 3 && i < ledger.size(); ++i) {
+        QuarantineRecord rec;
+        rec.worker = static_cast<unsigned>(i);
+        rec.batch = 10 + i;
+        rec.attempts = 2;
+        rec.reason = "batch-deadline";
+        rec.tc = ledger[i].repro;
+        campaign::writeQuarantineRecord(quarantine, rec);
+    }
+    surfaces.push_back(
+        {"quarantine.jsonl", quarantine.str(),
+         {"worker"},
+         {},
+         [](std::istream &is, std::string &why) {
+             // A dropped torn final line is the loader's rejection of
+             // that line, so it counts as one here.
+             std::vector<QuarantineRecord> out;
+             std::string torn;
+             return campaign::loadQuarantine(is, out, &why, &torn) &&
+                    (why = torn).empty();
+         }});
+
+    std::ostringstream poc;
+    if (!triaged.pocs.empty())
+        triage::writePocFile(poc, triaged.pocs.front().artifact);
+    surfaces.push_back({"poc.dvzpoc", poc.str(), {}, {},
+                        [](std::istream &is, std::string &why) {
+                            triage::PocArtifact out;
+                            return triage::readPocFile(is, out, &why);
+                        }});
+    return surfaces;
+}
+
+/** A numeric token of a text artifact and the JSON key it is the
+ *  value of (empty for a digit run outside JSON). */
+struct NumericToken
+{
+    size_t pos, len;
+    std::string field;
+};
+
+/** Every JSON number value in @p text, or (DVZPOC files have no
+ *  numeric fields) every digit run. */
+std::vector<NumericToken>
+numericTokens(const std::string &text, bool json)
+{
+    const char *const digits = "0123456789";
+    std::vector<NumericToken> tokens;
+    // Records the token at @p pos and returns where it ends.
+    auto take = [&](size_t pos, std::string field) {
+        size_t end =
+            text.find_first_not_of(json ? "0123456789.eE+-" : digits, pos);
+        if (end == std::string::npos)
+            end = text.size();
+        tokens.push_back({pos, end - pos, std::move(field)});
+        return end;
+    };
+    if (!json) {
+        for (size_t pos = text.find_first_of(digits);
+             pos != std::string::npos;
+             pos = text.find_first_of(digits, take(pos, ""))) {
+        }
+        return tokens;
+    }
+    for (size_t at = text.find("\":"); at != std::string::npos;
+         at = text.find("\":", at + 2)) {
+        const char first = at + 2 < text.size() ? text[at + 2] : '\0';
+        if (first == '-' || (first >= '0' && first <= '9')) {
+            const size_t key = text.rfind('"', at - 1) + 1;
+            take(at + 2, text.substr(key, at - key));
+        }
+    }
+    return tokens;
+}
+
+/** Whether @p number is a value the documented type of @p field in
+ *  @p surface can hold. An empty field is free text (no type). */
+bool
+fieldHolds(const TextSurface &surface, const std::string &field,
+           const std::string &number)
+{
+    if (field.empty())
+        return true;
+    if (number == "nan" || number == "-1")
+        return false; // not JSON / below every documented range
+    if (surface.float_fields.count(field))
+        return true;
+    if (number == "4294967297")
+        return !surface.u32_fields.count(field);
+    return false; // 1.5, 1e3 and 2^64 fit no integer field
+}
+
+TEST(TextIngest, MutatedArtifactsLoadOrFailCleanly)
+{
+    const char *const kNumbers[] = {"-1", "1.5", "1e3", "4294967297",
+                                    "18446744073709551616", "nan"};
+    uint64_t seed = 0x7e47;
+    for (const TextSurface &surface : textSurfaces()) {
+        SCOPED_TRACE(surface.name);
+        std::string error;
+        {
+            std::istringstream pristine(surface.text);
+            ASSERT_TRUE(surface.load(pristine, error)) << error;
+        }
+        const std::vector<NumericToken> tokens = numericTokens(
+            surface.text,
+            surface.name.find("json") != std::string::npos);
+        ASSERT_FALSE(tokens.empty());
+
+        Rng rng(seed++);
+        unsigned rejected = 0;
+        for (int trial = 0; trial < 300; ++trial) {
+            std::string text = surface.text;
+            std::string field, number;
+            switch (rng.below(4)) {
+              case 0: { // bit flip
+                const size_t pos = rng.below(text.size());
+                text[pos] = static_cast<char>(
+                    static_cast<uint8_t>(text[pos]) ^
+                    (uint8_t{1} << rng.below(8)));
+                break;
+              }
+              case 1: // truncation
+                text.resize(rng.below(text.size()));
+                break;
+              case 2: { // duplicated line
+                const size_t at = rng.below(text.size());
+                const size_t begin = text.rfind('\n', at);
+                const size_t start =
+                    begin == std::string::npos ? 0 : begin + 1;
+                const size_t stop = text.find('\n', at);
+                const size_t len = stop == std::string::npos
+                                       ? text.size() - start
+                                       : stop + 1 - start;
+                text.insert(start, text.substr(start, len));
+                break;
+              }
+              default: { // one numeric token replaced
+                const NumericToken &token =
+                    tokens[rng.below(tokens.size())];
+                field = token.field;
+                number = kNumbers[rng.below(std::size(kNumbers))];
+                text.replace(token.pos, token.len, number);
+                break;
+              }
+            }
+            std::istringstream is(text);
+            error.clear();
+            if (!surface.load(is, error)) {
+                ++rejected;
+                EXPECT_FALSE(error.empty())
+                    << "trial " << trial << ": rejection without a "
+                    << "diagnostic";
+            } else if (!fieldHolds(surface, field, number)) {
+                ADD_FAILURE() << "trial " << trial << ": field \""
+                              << field << "\" accepted " << number;
+            }
+        }
+        EXPECT_GT(rejected, 0u);
+    }
 }
 
 } // namespace

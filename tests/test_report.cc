@@ -19,6 +19,7 @@
 #include "report/json.hh"
 #include "report/report.hh"
 #include "uarch/config.hh"
+#include "util/parse.hh"
 
 namespace dejavuzz {
 namespace {
@@ -90,6 +91,104 @@ TEST(JsonParser, KeepsFullIntegerPrecision)
         << error;
     EXPECT_EQ(obj["seed"].raw, "18446744073709551615");
     EXPECT_DOUBLE_EQ(obj["e"].number, 1000.0);
+}
+
+// --- Strict scalars -----------------------------------------------------
+
+TEST(StrictParse, UnsignedIsDigitsOnlyAndBounded)
+{
+    uint64_t n = 7;
+    EXPECT_EQ(parseUnsigned("0", n), nullptr);
+    EXPECT_EQ(n, 0u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615", n), nullptr);
+    EXPECT_EQ(n, UINT64_MAX);
+    EXPECT_EQ(parseUnsigned("18446744073709551616", n), kOutOfRange);
+    EXPECT_EQ(parseUnsigned("4294967296", n, 0, UINT32_MAX),
+              kOutOfRange);
+    EXPECT_EQ(parseUnsigned("0", n, 1, 9), kOutOfRange);
+    for (const char *text : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3",
+                             "1.5", "12abc", "nan"}) {
+        n = 7;
+        EXPECT_NE(parseUnsigned(text, n), nullptr) << text;
+        EXPECT_NE(parseUnsigned(text, n), kOutOfRange) << text;
+        EXPECT_EQ(n, 7u) << text;
+    }
+}
+
+TEST(StrictParse, FloatsAreFiniteDecimals)
+{
+    double x = -1.0;
+    EXPECT_EQ(parseFinite("0.25", x, 0.0, 1.0), nullptr);
+    EXPECT_EQ(x, 0.25);
+    EXPECT_EQ(parseFinite("1e3", x, 0.0, 1e9), nullptr);
+    EXPECT_EQ(x, 1000.0);
+    EXPECT_EQ(parseFinite("-2.5", x, -3.0, 0.0), nullptr);
+    EXPECT_EQ(x, -2.5);
+    EXPECT_EQ(parseFinite("1.5", x, 0.0, 1.0), kOutOfRange);
+    EXPECT_EQ(parseFinite("1e400", x, 0.0, 1e308), kOutOfRange);
+    for (const char *text : {"", "nan", "NAN", "inf", "-inf",
+                             "infinity", "0x1p-1", " 0.5", "0.5 ",
+                             "+0.5", "1e", "0.5s"}) {
+        x = -1.0;
+        EXPECT_NE(parseFinite(text, x, -1e308, 1e308), nullptr)
+            << text;
+        EXPECT_EQ(x, -1.0) << text;
+    }
+}
+
+TEST(FieldReader, BoundsEachReadByItsDestination)
+{
+    JsonObject obj;
+    std::string error;
+    ASSERT_TRUE(report::parseFlatJsonObject(
+        "{\"big\":4294967297,\"small\":4294967295,\"f\":0.5,"
+        "\"s\":\"x\",\"b\":true}",
+        obj, &error))
+        << error;
+
+    report::FieldReader fields(obj, error);
+    uint64_t big = 0;
+    uint32_t small = 0;
+    double f = 0.0;
+    std::string text;
+    bool flag = false;
+    uint32_t absent = 9;
+    fields.read("big", big);
+    fields.read("small", small);
+    fields.read("f", f);
+    fields.read("s", text);
+    fields.read("b", flag);
+    fields.read("absent", absent, /*required=*/false);
+    ASSERT_TRUE(fields.ok()) << error;
+    EXPECT_EQ(big, 4294967297u);
+    EXPECT_EQ(small, UINT32_MAX);
+    EXPECT_EQ(f, 0.5);
+    EXPECT_EQ(text, "x");
+    EXPECT_TRUE(flag);
+    EXPECT_EQ(absent, 9u); // optional and absent: untouched
+
+    uint32_t narrow = 0;
+    fields.read("big", narrow);
+    EXPECT_FALSE(fields.ok());
+    EXPECT_EQ(error, "field \"big\" exceeds the 32-bit range");
+    EXPECT_EQ(narrow, 0u);
+    // The first error sticks; later reads are no-ops.
+    fields.read("missing", narrow);
+    fields.read("s", f);
+    EXPECT_EQ(error, "field \"big\" exceeds the 32-bit range");
+
+    error.clear();
+    fields.read("missing", narrow);
+    EXPECT_EQ(error, "missing field \"missing\"");
+    error.clear();
+    fields.read("f", big);
+    EXPECT_EQ(error, "field \"f\" must be a non-negative integer");
+    error.clear();
+    fields.read("s", f);
+    EXPECT_EQ(error, "field \"s\" must be a finite non-negative number");
+    error.clear();
+    fields.read("b", text);
+    EXPECT_EQ(error, "field \"b\" must be a string");
 }
 
 // --- Campaign log round-trip --------------------------------------------

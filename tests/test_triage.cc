@@ -370,6 +370,36 @@ TEST(TriagePoc, MalformedFilesRejected)
         EXPECT_FALSE(triage::readPocFile(is, out, &error));
         EXPECT_NE(error.find("hex"), std::string::npos);
     }
+    {
+        // A repeated field is rejected, not silently overridden by
+        // its last copy: otherwise valid file, bogus header first.
+        triage::PocArtifact poc;
+        poc.cluster = "C000";
+        poc.key = "k";
+        poc.config = "SmallBOOM";
+        poc.variant = "full";
+        std::ostringstream os;
+        triage::writePocFile(os, poc);
+        std::string text = os.str();
+        {
+            std::istringstream is(text);
+            ASSERT_TRUE(triage::readPocFile(is, out, &error)) << error;
+        }
+        const size_t case_at = text.find("\ncase: ") + 1;
+        const std::string case_line =
+            text.substr(case_at, text.find('\n', case_at) + 1 - case_at);
+        for (const std::string &extra :
+             {std::string("config: bogus\n"),
+              std::string("key: bogus\n"), case_line}) {
+            std::string dup = text;
+            dup.insert(dup.find('\n') + 1, extra);
+            std::istringstream is(dup);
+            EXPECT_FALSE(triage::readPocFile(is, out, &error))
+                << extra;
+            EXPECT_NE(error.find("duplicate"), std::string::npos)
+                << error;
+        }
+    }
 }
 
 // --- end-to-end pipeline --------------------------------------------------
