@@ -22,13 +22,12 @@ using namespace dejavuzz;
 namespace {
 
 harness::SimOptions
-diffOptions(bool lockstep, bool taint_log)
+diffOptions(bool taint_log)
 {
     harness::SimOptions options;
     options.mode = ift::IftMode::DiffIFT;
     options.sinks = true;
     options.taint_log = taint_log;
-    options.lockstep_diff = lockstep;
     return options;
 }
 
@@ -37,13 +36,17 @@ runDiffIft(benchmark::State &state, bool lockstep, bool taint_log)
 {
     auto cfg = uarch::smallBoomConfig();
     harness::DualSim sim(cfg);
-    auto options = diffOptions(lockstep, taint_log);
+    auto options = diffOptions(taint_log);
     auto suite = bench::pocSuite();
     harness::DualResult result;
     uint64_t cycles = 0;
     for (auto _ : state) {
         for (const auto &poc : suite) {
-            sim.runDual(poc.schedule, poc.data, options, result);
+            if (lockstep)
+                sim.runDual(poc.schedule, poc.data, options, result);
+            else
+                sim.runDualFourPass(poc.schedule, poc.data, options,
+                                    result);
             cycles += result.dut0.cycles + result.dut1.cycles;
             benchmark::DoNotOptimize(result.dut0.state_hash);
         }

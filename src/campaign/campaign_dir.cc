@@ -144,10 +144,6 @@ readMeta(std::istream &is, CampaignMeta &out, std::string *error)
     if (!report::parseFlatJsonObject(line, obj, &json_error))
         return fail("meta.json: " + json_error);
 
-    // Optional fields keep their CampaignMeta defaults: meta.json
-    // files written before the attack-model layer carry no template
-    // mask (the legacy model), and pre-robustness ones no save
-    // generation (0: raw, trailer-less artifacts).
     CampaignMeta meta;
     std::string field_error;
     report::FieldReader fields(obj, field_error);
@@ -162,10 +158,10 @@ readMeta(std::istream &is, CampaignMeta &out, std::string *error)
     fields.read("batch", meta.batch_iterations);
     fields.read("steal", meta.steal_batches);
     fields.read("steals", meta.steals_per_epoch);
-    fields.read("templates", meta.model_mask, /*required=*/false);
+    fields.read("templates", meta.model_mask);
     fields.read("corpus_shards", meta.corpus_shards);
     fields.read("corpus_cap", meta.corpus_shard_cap);
-    fields.read("generation", meta.generation, /*required=*/false);
+    fields.read("generation", meta.generation);
     if (!fields.ok())
         return fail("meta.json: " + field_error);
     out = std::move(meta);
@@ -178,20 +174,10 @@ metaMismatches(const CampaignMeta &saved, const CampaignMeta &current)
     std::vector<std::string> out;
     mismatchU64(out, "meta_version", saved.meta_version,
                 current.meta_version);
-    // Older corpus/snapshot formats stay resumable as long as the
-    // current loaders read them (they accept every version up to
-    // their own); re-saving upgrades the directory to the current
-    // format. Only a *newer* saved format is a real mismatch.
-    if (saved.corpus_version < 1 ||
-        saved.corpus_version > current.corpus_version) {
-        mismatchU64(out, "corpus_version", saved.corpus_version,
-                    current.corpus_version);
-    }
-    if (saved.snapshot_version < 1 ||
-        saved.snapshot_version > current.snapshot_version) {
-        mismatchU64(out, "snapshot_version", saved.snapshot_version,
-                    current.snapshot_version);
-    }
+    mismatchU64(out, "corpus_version", saved.corpus_version,
+                current.corpus_version);
+    mismatchU64(out, "snapshot_version", saved.snapshot_version,
+                current.snapshot_version);
     mismatchU64(out, "master_seed", saved.master_seed,
                 current.master_seed);
     mismatchU64(out, "workers", saved.workers, current.workers);
@@ -278,27 +264,6 @@ readGenArtifact(const std::string &path, uint64_t gen,
     return false;
 }
 
-/** Legacy generation-0 artifact: raw bytes, no trailer. Tried at
- *  @p path, then @p path.prev (where a later interrupted save may
- *  have rotated it). */
-bool
-readRawArtifact(const std::string &path, std::string &payload,
-                bool &from_prev, std::string *why)
-{
-    std::string err;
-    if (readWholeFile(path, payload, &err)) {
-        from_prev = false;
-        return true;
-    }
-    if (readWholeFile(prevPath(path), payload, nullptr)) {
-        from_prev = true;
-        return true;
-    }
-    if (why)
-        *why = path + ": " + err;
-    return false;
-}
-
 struct MetaCandidate
 {
     CampaignMeta meta;
@@ -347,46 +312,29 @@ loadGeneration(const CampaignDirPaths &paths,
 
     bool prev = false;
     std::string snap_payload;
-    const bool snap_ok =
-        gen == 0 ? readRawArtifact(paths.snapshot, snap_payload,
-                                   prev, why)
-                 : readGenArtifact(paths.snapshot, gen, snap_payload,
-                                   prev, why);
-    if (!snap_ok)
+    if (!readGenArtifact(paths.snapshot, gen, snap_payload, prev, why))
         return false;
     used_prev |= prev;
     std::istringstream snap_in(snap_payload);
     std::string sub;
     if (!loadCheckpoint(snap_in, checkpoint, &sub)) {
-        if (gen != 0) {
-            // CRC-valid but unparseable: real corruption, not a torn
-            // save — do not mask it behind a stale fallback.
-            if (hard_error)
-                *hard_error = paths.snapshot + ": " + sub;
-        } else if (why) {
-            *why = paths.snapshot + ": " + sub;
-        }
+        // CRC-valid but unparseable: real corruption, not a torn
+        // save — do not mask it behind a stale fallback.
+        if (hard_error)
+            *hard_error = paths.snapshot + ": " + sub;
         return false;
     }
 
     if (corpus != nullptr) {
         std::string corpus_payload;
-        const bool corpus_ok =
-            gen == 0 ? readRawArtifact(paths.corpus, corpus_payload,
-                                       prev, why)
-                     : readGenArtifact(paths.corpus, gen,
-                                       corpus_payload, prev, why);
-        if (!corpus_ok)
+        if (!readGenArtifact(paths.corpus, gen, corpus_payload, prev,
+                             why))
             return false;
         used_prev |= prev;
         std::istringstream corpus_in(corpus_payload);
         if (!SharedCorpus::loadFrom(corpus_in, *corpus, &sub)) {
-            if (gen != 0) {
-                if (hard_error)
-                    *hard_error = paths.corpus + ": " + sub;
-            } else if (why) {
-                *why = paths.corpus + ": " + sub;
-            }
+            if (hard_error)
+                *hard_error = paths.corpus + ": " + sub;
             return false;
         }
     }
@@ -553,17 +501,14 @@ saveCampaignDir(const std::string &dir,
         for (const std::string &path : artifacts) {
             if (!fs::exists(path, ec))
                 continue;
+            // An artifact belongs to old_gen only when its trailer
+            // names that generation.
             uint64_t gen = 0;
             const bool tagged =
                 path == paths.log ? logTrailerGeneration(path, gen)
                                   : binaryArtifactGeneration(path,
                                                              gen);
-            // Legacy generation-0 artifacts carry no trailer; a
-            // tagged artifact belongs to old_gen only when the
-            // generations match.
-            const bool belongs =
-                old_gen == 0 ? !tagged : (tagged && gen == old_gen);
-            if (!belongs)
+            if (!tagged || gen != old_gen)
                 continue;
             fs::rename(path, prevPath(path), ec);
             if (ec)

@@ -79,17 +79,14 @@ struct CampaignMeta
     uint64_t batch_iterations = 0;
     bool steal_batches = true;
     uint64_t steals_per_epoch = 0;
-    /** Fleet-wide attack-template mask (`--templates`); absent in
-     *  older meta.json files, which imply the legacy single model. */
+    /** Fleet-wide attack-template mask (`--templates`). */
     uint32_t model_mask = core::kLegacyModelMask;
     uint64_t corpus_shards = 0;
     uint64_t corpus_shard_cap = 0;
     /** Save-generation counter: incremented on every save (autosave
      *  or final), binding meta.json to the artifact trailers written
      *  with it. Not part of the campaign configuration — never
-     *  compared by metaMismatches(). Absent in pre-robustness
-     *  meta.json files, which imply generation 0 and raw
-     *  (trailer-less) artifacts. */
+     *  compared by metaMismatches(). The first save writes 1. */
     uint64_t generation = 0;
 };
 

@@ -123,10 +123,9 @@ class SharedCorpus
      */
     size_t removeMatching(const core::TestCase &tc);
 
-    /** Corpus file format version written by saveTo(). v2 appended
-     *  the attack-model fields to each test case; loadFrom() still
-     *  reads v1 files (their entries get the implicit same-domain
-     *  model). The format is specified in docs/campaign-format.md. */
+    /** Corpus format version written by saveTo(), the only one
+     *  loadFrom() accepts. The format is specified in
+     *  docs/campaign-format.md. */
     static constexpr uint32_t kFormatVersion = 2;
 
     /**

@@ -238,8 +238,7 @@ writeTestCase(std::ostream &os, const core::TestCase &tc)
     putU64(os, tc.encode_end);
     putU8(os, tc.has_window_payload ? 1 : 0);
 
-    // v2 tail: the attack model and its schedule projections. Placed
-    // after every v1 field so the v1 prefix stays byte-identical.
+    // The attack model and its schedule projections.
     putU8(os, static_cast<uint8_t>(tc.seed.model.tmpl));
     putU8(os, static_cast<uint8_t>(tc.seed.model.attacker));
     putU8(os, static_cast<uint8_t>(tc.seed.model.victim));
@@ -249,19 +248,10 @@ writeTestCase(std::ostream &os, const core::TestCase &tc)
 }
 
 bool
-readTestCase(Reader &in, core::TestCase &tc, uint32_t version)
+readTestCase(Reader &in, core::TestCase &tc)
 {
-    // v1 payloads predate the attack model; absence means the
-    // implicit same-domain model. Reset explicitly: tc may be a
-    // reused object carrying another case's model.
-    tc.seed.model = core::AttackModel{};
-    tc.schedule.victim_supervisor = false;
-    tc.schedule.double_fetch = false;
-    const unsigned trigger_bound = version >= kTestCaseModelVersion
-                                       ? core::kTriggerKinds
-                                       : core::kLegacyTriggerKinds;
     if (!in.u64(tc.seed.id, "seed.id") ||
-        !in.enumByte(tc.seed.trigger, trigger_bound,
+        !in.enumByte(tc.seed.trigger, core::kTriggerKinds,
                      "seed.trigger") ||
         !in.u64(tc.seed.entropy, "seed.entropy") ||
         !readBool(in, tc.seed.window.meltdown, "window.meltdown") ||
@@ -346,8 +336,6 @@ readTestCase(Reader &in, core::TestCase &tc, uint32_t version)
         !readBool(in, tc.has_window_payload, "has_window_payload")) {
         return false;
     }
-    if (version < kTestCaseModelVersion)
-        return true;
 
     // isa::Priv is {U=0, S=1, M=3}; 2 is architecturally reserved.
     auto priv_ok = [](isa::Priv p) {
@@ -443,7 +431,7 @@ SharedCorpus::loadFrom(std::istream &is, CorpusFile &out,
     }
     if (!in.u32(out.version, "version"))
         return report(false);
-    if (out.version < 1 || out.version > kFormatVersion) {
+    if (out.version != kFormatVersion) {
         in.fail("unsupported corpus version " +
                 std::to_string(out.version));
         return report(false);
@@ -469,7 +457,7 @@ SharedCorpus::loadFrom(std::istream &is, CorpusFile &out,
             !in.u32(worker, "entry.worker") ||
             !in.u64(entry.seq, "entry.seq") ||
             !in.str(entry.config, "entry.config") ||
-            !bio::readTestCase(in, entry.tc, out.version)) {
+            !bio::readTestCase(in, entry.tc)) {
             return report(false);
         }
         entry.worker = worker;

@@ -86,20 +86,10 @@ bool readIndex(Reader &in, size_t &out, const char *what);
 
 // --- test-case payload ------------------------------------------------------
 
-/** Container format version that first carried the attack-model
- *  fields (seed.model, schedule.victim_supervisor/double_fetch). */
-constexpr uint32_t kTestCaseModelVersion = 2;
-
 /** Serialize the complete test case (the corpus entry payload). */
 void writeTestCase(std::ostream &os, const core::TestCase &tc);
-/**
- * Strictly parse a test case written by writeTestCase(). @p version
- * is the enclosing container's format version: v1 payloads predate
- * the attack-model fields (their absence restores the implicit
- * same-domain model) and bound the trigger byte at the legacy count.
- */
-bool readTestCase(Reader &in, core::TestCase &tc,
-                  uint32_t version = kTestCaseModelVersion);
+/** Strictly parse a test case written by writeTestCase(). */
+bool readTestCase(Reader &in, core::TestCase &tc);
 
 /** The writeTestCase() bytes of @p tc as lowercase hex: the `case`
  *  field of quarantine.jsonl records and DVZPOC files. */
@@ -136,8 +126,7 @@ uint32_t crc32(const void *data, size_t size, uint32_t seed = 0);
  * directory generation the artifact belongs to, the payload length,
  * and a CRC-32 over the payload. 32 bytes, little-endian. The
  * trailer lives at the *file* layer — the payload parsers
- * (corpus_io, snapshot_io) never see it, and standalone artifacts
- * (`--corpus-out`) stay raw.
+ * (corpus_io, snapshot_io) never see it.
  */
 constexpr char kTrailerMagic[9] = "DVZTRLR1";
 constexpr size_t kTrailerBytes = 8 + 8 + 8 + 4 + 4; // magic,gen,len,crc,pad

@@ -36,11 +36,8 @@
 
 namespace dejavuzz::campaign {
 
-/** Snapshot format version written by saveCheckpoint(). v2 appended
- *  the attack-model fields to every embedded test case and widened
- *  the bug-record attack/window enum bounds; loadCheckpoint() still
- *  reads v1 snapshots (their cases get the implicit same-domain
- *  model). */
+/** Snapshot format version written by saveCheckpoint(), the only one
+ *  loadCheckpoint() accepts. */
 constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /** One config group's global coverage bitmaps. */

@@ -141,8 +141,7 @@ Phase2::run(const TestCase &tc)
     // the differential run below then snapshots both lanes at the
     // transient boundary, and Phase 3 resumes from the snapshot
     // instead of re-simulating the shared prefix.
-    if (gen_ != nullptr && options.fuse_phase3 &&
-        tc.has_window_payload) {
+    if (gen_ != nullptr && tc.has_window_payload) {
         sanitized_ = gen_->sanitizedSchedule(tc);
         sim_->armFusion(&sanitized_);
     } else {

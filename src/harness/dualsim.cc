@@ -239,6 +239,7 @@ DualSim::runDualFourPass(const SwapSchedule &schedule,
     runOne(schedule, data, options, true, ift::IftMode::DiffIFT,
            nullptr, &store_a_, lane1_, out.dut1);
     out.sim_passes = 4;
+    obs::counterAdd(obs::Ctr::Simulations, out.sim_passes);
 }
 
 /**
@@ -499,10 +500,7 @@ DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
         obs::counterAdd(obs::Ctr::Simulations, out.sim_passes);
         return;
       case ift::IftMode::DiffIFT:
-        if (options.lockstep_diff)
-            runDualLockstep(schedule, data, options, out, allow_capture);
-        else
-            runDualFourPass(schedule, data, options, out);
+        runDualLockstep(schedule, data, options, out, allow_capture);
         obs::counterAdd(obs::Ctr::Simulations, out.sim_passes);
         return;
     }

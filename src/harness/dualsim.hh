@@ -9,7 +9,7 @@
  * trace an instance records is independent of how its taint gates
  * resolve, which admits two equivalent evaluation strategies:
  *
- *  - **Lockstep co-simulation** (default): both instances advance in
+ *  - **Lockstep co-simulation** (runDual): both instances advance in
  *    one interleaved loop. Each cycle, instance 0 ticks first as a
  *    *record sub-tick* — gates optimistically closed, control trace
  *    recorded — then instance 1 runs its *taint sub-tick*, gating
@@ -20,10 +20,11 @@
  *    confirmed-convergent cycles, and redoes the divergent cycle
  *    against instance 1's trace. DiffIFT costs ~2 core simulations.
  *
- *  - **Legacy 4-pass** (SimOptions::lockstep_diff = false): a value
- *    pass per instance records the control traces, then a diff pass
- *    per instance replays against the sibling's trace. 4 full core
- *    simulations; kept as the bit-identical equivalence baseline.
+ *  - **Legacy 4-pass** (runDualFourPass): a value pass per instance
+ *    records the control traces, then a diff pass per instance
+ *    replays against the sibling's trace. 4 full core simulations;
+ *    kept only as the reference oracle that the equivalence suite
+ *    and bench_dualsim compare the lockstep driver against.
  *
  * CellIFT / FN / Off modes need no sibling information and run in a
  * single pass per instance. All per-run state (cores, memories,
@@ -72,27 +73,12 @@ struct SimOptions
     bool taint_log = false;
     bool sinks = false;
     /**
-     * Evaluate DiffIFT by lockstep co-simulation (2 passes) instead
-     * of the legacy 4-pass value/diff pipeline. The two strategies
-     * produce bit-identical DutResults (CI-enforced); this switch
-     * exists for the equivalence suite and perf baselines.
-     */
-    bool lockstep_diff = true;
-    /**
      * Checkpoint cadence of the lockstep redo protocol while
      * execution is convergent, in cycles. Purely a time/space
      * trade-off — results are bit-identical for any value ≥ 1. The
      * equivalence suite sweeps it to stress the rollback/replay path.
      */
     uint64_t lockstep_checkpoint_interval = 32;
-    /**
-     * Let Phase 2 arm the lockstep driver to snapshot both lanes at
-     * the transient-packet boundary so Phase 3's sanitized run can
-     * resume from the shared prefix instead of re-simulating it.
-     * Results are bit-identical either way; this switch exists for
-     * the equivalence suite and perf baselines.
-     */
-    bool fuse_phase3 = true;
     uint64_t packet_cycle_budget = 1500;
     uint64_t total_cycle_budget = 20000;
 };
@@ -175,15 +161,28 @@ class DualSim
                        const SimOptions &options);
 
     /**
+     * Reference DiffIFT run by the legacy 4-pass pipeline (value pass
+     * then diff pass per instance; sim_passes = 4), whatever
+     * options.mode says. Bit-identical to runDual in DiffIFT mode;
+     * not used by the fuzzer — it is the oracle the lockstep driver
+     * is checked (tests/test_dualsim.cc) and timed
+     * (bench/bench_dualsim.cc) against. Never captures a fusion
+     * snapshot.
+     */
+    void runDualFourPass(const swapmem::SwapSchedule &schedule,
+                         const StimulusData &data,
+                         const SimOptions &options, DualResult &out);
+
+    /**
      * Arm Phase-3 lane fusion for the next runDual: @p sanitized is
      * the sanitized twin of the schedule that runDual will execute
      * (same packet count, kinds, entries and transient protection;
      * only the transient packet's instructions differ). The pointer
      * must stay valid through the matching runFusedPhase3 call.
      * Passing nullptr disarms. Arming is one-shot: each runDual
-     * consumes it, and non-lockstep / non-DiffIFT runs simply never
-     * capture (fusionCaptured() stays false => callers fall back to
-     * a standalone sanitized run).
+     * consumes it, and non-DiffIFT runs simply never capture
+     * (fusionCaptured() stays false => callers fall back to a
+     * standalone sanitized run).
      */
     void
     armFusion(const swapmem::SwapSchedule *sanitized)
@@ -334,9 +333,6 @@ class DualSim
                 TraceStore *record, const TraceStore *sibling,
                 Lane &lane, DutResult &out);
 
-    void runDualFourPass(const swapmem::SwapSchedule &schedule,
-                         const StimulusData &data,
-                         const SimOptions &options, DualResult &out);
     void runDualLockstep(const swapmem::SwapSchedule &schedule,
                          const StimulusData &data,
                          const SimOptions &options, DualResult &out,

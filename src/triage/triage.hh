@@ -14,8 +14,8 @@
  * Determinism contract: the pipeline is a pure function of the
  * ledger contents and options. Entries are canonicalized by dedup
  * key up front, no wall-clock or host state enters any artifact, and
- * every stage iterates in a canonical order — running `--triage`
- * twice over the same campaign directory produces byte-identical
+ * every stage iterates in a canonical order — running
+ * `dejavuzz-replay DIR --triage` twice over the same campaign directory produces byte-identical
  * triage.jsonl and PoC files (asserted in tests and CI).
  */
 
@@ -88,10 +88,6 @@ void writeTriageJsonl(std::ostream &os, const TriageResult &result);
  */
 bool writePocs(const std::string &dir, const TriageResult &result,
                std::string *error = nullptr);
-
-/** Copy @p result's annotations back onto a live ledger. */
-void annotateLedger(campaign::BugLedger &ledger,
-                    const TriageResult &result);
 
 } // namespace dejavuzz::triage
 

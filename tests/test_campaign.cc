@@ -334,9 +334,10 @@ TEST(CorpusIo, LoadRejectsCorruptInput)
     EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 }
 
-/** Rewrite a single-entry v2 corpus image as its v1 equivalent: the
- *  v2 tail is the entry's final six bytes (the attack model), and the
- *  version field sits right after the 8-byte magic. */
+/** Rewrite a single-entry v2 corpus image as its v1 equivalent (the
+ *  layout written before the attack model existed): the v2 tail is
+ *  the entry's final six bytes, and the version field sits right
+ *  after the 8-byte magic. */
 std::string
 asV1Image(std::string bytes)
 {
@@ -346,55 +347,28 @@ asV1Image(std::string bytes)
     return bytes;
 }
 
-TEST(CorpusIo, V1FilesLoadWithImplicitSameDomainModel)
+TEST(CorpusIo, RejectsEveryVersionButTheCurrentOne)
 {
     SharedCorpus corpus(1, 4);
-    corpus.offer(syntheticEntry(3, 0, 0)); // nontrivial v2 model
+    corpus.offer(syntheticEntry(3, 0, 0));
     std::stringstream v2_file;
     ASSERT_TRUE(corpus.saveTo(v2_file, 5));
 
-    std::stringstream v1_file(asV1Image(v2_file.str()),
-                              std::ios::in | std::ios::binary);
     campaign::CorpusFile loaded;
     std::string error;
-    ASSERT_TRUE(SharedCorpus::loadFrom(v1_file, loaded, &error))
-        << error;
-    EXPECT_EQ(loaded.version, 1u);
-    ASSERT_EQ(loaded.entries.size(), 1u);
-
-    // Every v1 field survives; the model is the implicit default.
-    const core::TestCase &tc = loaded.entries[0].tc;
-    EXPECT_EQ(tc.seed.trigger, core::TriggerKind::ReturnMispredict);
-    EXPECT_EQ(tc.seed.model.tmpl, core::AttackTemplate::SameDomain);
-    EXPECT_FALSE(tc.seed.model.supervisor_victim);
-    EXPECT_FALSE(tc.schedule.victim_supervisor);
-    EXPECT_FALSE(tc.schedule.double_fetch);
-}
-
-TEST(CorpusIo, V1RejectsPostLegacyTriggerKinds)
-{
-    // A v1 image can only have been written by a build with eight
-    // trigger kinds: a higher ordinal is corruption, not history.
-    SharedCorpus corpus(1, 4);
-    CorpusEntry entry = syntheticEntry(3, 0, 0);
-    entry.tc.seed.trigger = core::TriggerKind::PrivEcall;
-    corpus.offer(entry);
-    std::stringstream v2_file;
-    ASSERT_TRUE(corpus.saveTo(v2_file, 5));
-
-    // The same bytes load fine as v2...
-    std::stringstream v2_copy(v2_file.str(),
-                              std::ios::in | std::ios::binary);
-    campaign::CorpusFile loaded;
-    std::string error;
-    ASSERT_TRUE(SharedCorpus::loadFrom(v2_copy, loaded, &error))
-        << error;
-
-    // ...and fail as v1 at the trigger bound.
     std::stringstream v1_file(asV1Image(v2_file.str()),
                               std::ios::in | std::ios::binary);
     EXPECT_FALSE(SharedCorpus::loadFrom(v1_file, loaded, &error));
-    EXPECT_NE(error.find("seed.trigger"), std::string::npos)
+    EXPECT_NE(error.find("unsupported corpus version 1"),
+              std::string::npos)
+        << error;
+
+    std::string v3 = v2_file.str();
+    v3[8] = 3;
+    std::stringstream v3_file(v3, std::ios::in | std::ios::binary);
+    EXPECT_FALSE(SharedCorpus::loadFrom(v3_file, loaded, &error));
+    EXPECT_NE(error.find("unsupported corpus version 3"),
+              std::string::npos)
         << error;
 }
 
@@ -655,7 +629,7 @@ TEST(Campaign, RecordsEpochCoverageCurve)
 
 TEST(Campaign, CorpusSaveLoadResume)
 {
-    // First campaign: run and persist the corpus.
+    // First campaign: run and save it as a campaign directory.
     CampaignOptions options = smallCampaign(2, 750);
     options.steals_per_epoch = 1;
     CampaignOrchestrator first(options);
@@ -663,13 +637,23 @@ TEST(Campaign, CorpusSaveLoadResume)
     ASSERT_GT(first.corpus().size(), 0u);
     const auto saved = first.corpus().snapshotSorted();
 
-    std::stringstream file;
-    ASSERT_TRUE(first.corpus().saveTo(file, options.master_seed));
-
-    campaign::CorpusFile loaded;
+    const std::string dir =
+        (std::filesystem::path(::testing::TempDir()) /
+         "dvz_corpus_in_dir")
+            .string();
+    std::filesystem::remove_all(dir);
     std::string error;
-    ASSERT_TRUE(SharedCorpus::loadFrom(file, loaded, &error))
+    ASSERT_TRUE(
+        campaign::saveCampaignDir(dir, first, options, &error))
         << error;
+
+    // The `--corpus-in DIR` path: read the directory's corpus.
+    campaign::LoadedCampaignDir from_dir;
+    ASSERT_TRUE(campaign::loadCampaignDir(dir, from_dir, &error))
+        << error;
+    std::filesystem::remove_all(dir);
+    const campaign::CorpusFile &loaded = from_dir.corpus;
+    EXPECT_EQ(loaded.master_seed, options.master_seed);
     ASSERT_EQ(loaded.entries.size(), saved.size());
 
     // Resume: preload into a fresh campaign with a different seed.
@@ -1292,23 +1276,48 @@ TEST(CampaignDir, MetaCarriesTheTemplateMask)
     EXPECT_NE(mismatches[0].find("priv-transition,double-fetch"),
               std::string::npos);
     EXPECT_NE(mismatches[0].find("same-domain"), std::string::npos);
+}
 
-    // Pre-attack-model meta.json files carry no templates field and
-    // imply the legacy single model.
-    std::string line;
-    {
-        std::stringstream again;
-        campaign::writeMeta(again,
-                            campaign::metaFromOptions(options));
-        line = again.str();
+TEST(CampaignDir, MetaRejectsOlderLayouts)
+{
+    // meta.json files written before the attack-model layer lack
+    // `templates`, and those written before crash-safe saves lack
+    // `generation` (their artifacts carry no trailer); neither is
+    // loadable any more.
+    std::stringstream file;
+    campaign::writeMeta(file,
+                        campaign::metaFromOptions(smallCampaign(2, 750)));
+    const std::string line = file.str();
+    for (const char *field : {"templates", "generation"}) {
+        const std::string key = std::string(",\"") + field + "\":";
+        const size_t at = line.find(key);
+        ASSERT_NE(at, std::string::npos) << field;
+        std::string older = line;
+        older.erase(at, line.find_first_of(",}", at + 1) - at);
+        std::stringstream in(older);
+        campaign::CampaignMeta loaded;
+        std::string error;
+        EXPECT_FALSE(campaign::readMeta(in, loaded, &error)) << older;
+        EXPECT_NE(error.find(std::string("missing field \"") + field),
+                  std::string::npos)
+            << error;
     }
-    const std::string field = ",\"templates\":12";
-    const size_t at = line.find(field);
-    ASSERT_NE(at, std::string::npos);
-    line.erase(at, field.size());
-    std::stringstream legacy(line);
-    ASSERT_TRUE(campaign::readMeta(legacy, loaded, &error)) << error;
-    EXPECT_EQ(loaded.model_mask, core::kLegacyModelMask);
+
+    // A directory saved with an older corpus or snapshot format is a
+    // mismatch, not a resumable campaign.
+    const campaign::CampaignMeta current =
+        campaign::metaFromOptions(smallCampaign(2, 750));
+    for (bool corpus : {true, false}) {
+        campaign::CampaignMeta saved = current;
+        (corpus ? saved.corpus_version : saved.snapshot_version) = 1;
+        const auto mismatches =
+            campaign::metaMismatches(saved, current);
+        ASSERT_EQ(mismatches.size(), 1u);
+        EXPECT_EQ(mismatches[0],
+                  std::string(corpus ? "corpus_version"
+                                     : "snapshot_version") +
+                      ": saved 1, current 2");
+    }
 }
 
 TEST(CampaignDir, MetaRejectsValuesPastTheFieldType)
@@ -1367,6 +1376,51 @@ TEST(CampaignDir, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.checkpoint.ledger.size(),
               orchestrator.ledger().distinct());
 
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignDir, TrailerlessGenerationZeroDirIsRejected)
+{
+    // The layout saved before crash-safe generations: raw corpus.bin
+    // and campaign.snap with no integrity trailer, and a meta.json at
+    // generation 0. Only trailered generations load.
+    const std::string dir =
+        (std::filesystem::path(::testing::TempDir()) /
+         "dvz_gen0_dir")
+            .string();
+    std::filesystem::remove_all(dir);
+    CampaignOptions options = smallCampaign(1, 125);
+    CampaignOrchestrator orchestrator(options);
+    orchestrator.run();
+    std::string error;
+    ASSERT_TRUE(campaign::saveCampaignDir(dir, orchestrator, options,
+                                          &error))
+        << error;
+
+    const campaign::CampaignDirPaths paths =
+        campaign::campaignDirPaths(dir);
+    for (const std::string &path : {paths.corpus, paths.snapshot}) {
+        std::string file, payload;
+        uint64_t gen = 0;
+        ASSERT_TRUE(campaign::readWholeFile(path, file, &error));
+        ASSERT_TRUE(campaign::splitTrailer(file, payload, gen, &error))
+            << error;
+        ASSERT_TRUE(campaign::atomicWriteFile(path, payload, &error))
+            << error;
+    }
+    campaign::CampaignMeta meta = campaign::metaFromOptions(options);
+    meta.generation = 0;
+    std::ostringstream meta_os;
+    campaign::writeMeta(meta_os, meta);
+    ASSERT_TRUE(
+        campaign::atomicWriteFile(paths.meta, meta_os.str(), &error))
+        << error;
+
+    campaign::LoadedCampaignDir loaded;
+    EXPECT_FALSE(campaign::loadCampaignDir(dir, loaded, &error));
+    EXPECT_NE(error.find("no complete save generation"),
+              std::string::npos)
+        << error;
     std::filesystem::remove_all(dir);
 }
 
@@ -1559,6 +1613,34 @@ TEST(Snapshot, RandomCorruptionNeverCrashesTheLoader)
                        return campaign::loadCheckpoint(is, out,
                                                        &error);
                    });
+}
+
+TEST(Snapshot, RejectsEveryVersionButTheCurrentOne)
+{
+    campaign::CampaignCheckpoint cp;
+    cp.steal_rng = {1, 2, 3, 4};
+    std::stringstream file(std::ios::in | std::ios::out |
+                           std::ios::binary);
+    ASSERT_TRUE(campaign::saveCheckpoint(file, cp));
+    const std::string v2 = file.str();
+
+    campaign::CampaignCheckpoint loaded;
+    std::string error;
+    std::stringstream current(v2, std::ios::in | std::ios::binary);
+    ASSERT_TRUE(campaign::loadCheckpoint(current, loaded, &error))
+        << error;
+    // The version field sits right after the 8-byte magic.
+    for (char version : {char{1}, char{3}}) {
+        std::string bytes = v2;
+        bytes[8] = version;
+        std::stringstream other(bytes,
+                                std::ios::in | std::ios::binary);
+        EXPECT_FALSE(campaign::loadCheckpoint(other, loaded, &error));
+        EXPECT_NE(error.find("unsupported snapshot version " +
+                             std::to_string(version)),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(Snapshot, CheckpointSurvivesBinaryRoundTripExactly)

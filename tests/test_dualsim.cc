@@ -2,10 +2,11 @@
  * @file
  * Differential-harness equivalence and pooling tests.
  *
- * The lockstep co-simulation strategy must produce bit-identical
- * DutResults to the legacy 4-pass value/diff pipeline — same sinks,
- * taint logs, trace logs, timing/state hashes — across randomized
- * schedules, real triggered windows and every IftMode. The fused
+ * The lockstep co-simulation strategy (DualSim::runDual) must produce
+ * bit-identical DutResults to the legacy 4-pass value/diff reference
+ * (DualSim::runDualFourPass) — same sinks, taint logs, trace logs,
+ * timing/state hashes — on the PoC suite, real triggered windows and
+ * every checkpoint cadence. The fused
  * Phase-3 lane (resume from the Phase-2 transient-boundary snapshot)
  * must be bit-identical to a standalone sanitized run. And because
  * DualSim pools its cores/memories/result buffers, a reused instance
@@ -33,6 +34,7 @@ using harness::DualResult;
 using harness::DualSim;
 using harness::DutResult;
 using harness::SimOptions;
+using harness::StimulusData;
 
 void
 expectDutEqual(const DutResult &a, const DutResult &b,
@@ -126,14 +128,24 @@ expectDualEqual(const DualResult &a, const DualResult &b)
 }
 
 SimOptions
-fullOptions(ift::IftMode mode, bool lockstep)
+fullOptions(ift::IftMode mode)
 {
     SimOptions options;
     options.mode = mode;
     options.taint_log = true;
     options.sinks = true;
-    options.lockstep_diff = lockstep;
     return options;
+}
+
+/** The 4-pass reference run, by value. */
+DualResult
+fourPass(DualSim &sim, const swapmem::SwapSchedule &schedule,
+         const StimulusData &data)
+{
+    DualResult out;
+    sim.runDualFourPass(schedule, data,
+                        fullOptions(ift::IftMode::DiffIFT), out);
+    return out;
 }
 
 /** Generate Phase-1-triggered, window-completed test cases. */
@@ -167,10 +179,8 @@ TEST(DualSimEquivalence, LockstepMatchesFourPassOnPocSuite)
         SCOPED_TRACE(poc.name);
         auto a = lockstep_sim.runDual(
             poc.schedule, poc.data,
-            fullOptions(ift::IftMode::DiffIFT, true));
-        auto b = fourpass_sim.runDual(
-            poc.schedule, poc.data,
-            fullOptions(ift::IftMode::DiffIFT, false));
+            fullOptions(ift::IftMode::DiffIFT));
+        auto b = fourPass(fourpass_sim, poc.schedule, poc.data);
         EXPECT_EQ(a.sim_passes, 2u);
         EXPECT_EQ(b.sim_passes, 4u);
         expectDualEqual(a, b);
@@ -190,10 +200,9 @@ TEST(DualSimEquivalence, LockstepMatchesFourPassOnTriggeredWindows)
             SCOPED_TRACE(i);
             auto a = lockstep_sim.runDual(
                 cases[i].schedule, cases[i].data,
-                fullOptions(ift::IftMode::DiffIFT, true));
-            auto b = fourpass_sim.runDual(
-                cases[i].schedule, cases[i].data,
-                fullOptions(ift::IftMode::DiffIFT, false));
+                fullOptions(ift::IftMode::DiffIFT));
+            auto b = fourPass(fourpass_sim, cases[i].schedule,
+                              cases[i].data);
             expectDualEqual(a, b);
         }
     }
@@ -210,38 +219,18 @@ TEST(DualSimEquivalence, CheckpointIntervalSweepIsBitIdentical)
     DualSim fourpass_sim(cfg);
     for (const auto &poc : bench::pocSuite()) {
         SCOPED_TRACE(poc.name);
-        auto baseline = fourpass_sim.runDual(
-            poc.schedule, poc.data,
-            fullOptions(ift::IftMode::DiffIFT, false));
+        auto baseline =
+            fourPass(fourpass_sim, poc.schedule, poc.data);
         for (uint64_t interval : {uint64_t{1}, uint64_t{7},
                                   uint64_t{1000000}}) {
             SCOPED_TRACE(interval);
             DualSim lockstep_sim(cfg);
-            auto options = fullOptions(ift::IftMode::DiffIFT, true);
+            auto options = fullOptions(ift::IftMode::DiffIFT);
             options.lockstep_checkpoint_interval = interval;
             auto a = lockstep_sim.runDual(poc.schedule, poc.data,
                                           options);
             expectDualEqual(a, baseline);
         }
-    }
-}
-
-TEST(DualSimEquivalence, StrategySwitchIsIdentityForSinglePassModes)
-{
-    auto cfg = uarch::smallBoomConfig();
-    auto poc = bench::meltdown();
-    DualSim sim_a(cfg);
-    DualSim sim_b(cfg);
-    for (auto mode : {ift::IftMode::Off, ift::IftMode::CellIFT,
-                      ift::IftMode::DiffIFTFN}) {
-        SCOPED_TRACE(static_cast<int>(mode));
-        auto a = sim_a.runDual(poc.schedule, poc.data,
-                               fullOptions(mode, true));
-        auto b = sim_b.runDual(poc.schedule, poc.data,
-                               fullOptions(mode, false));
-        EXPECT_EQ(a.sim_passes, 2u);
-        EXPECT_EQ(b.sim_passes, 2u);
-        expectDualEqual(a, b);
     }
 }
 
@@ -272,7 +261,7 @@ TEST(DualSimEquivalence, FusedPhase3MatchesStandaloneSanitizedRun)
                 DualResult phase2;
                 fused_sim.runDual(
                     tc.schedule, tc.data,
-                    fullOptions(ift::IftMode::DiffIFT, true), phase2);
+                    fullOptions(ift::IftMode::DiffIFT), phase2);
                 ASSERT_TRUE(fused_sim.fusionCaptured());
 
                 SimOptions p3;
@@ -353,7 +342,7 @@ TEST(DualSimReuse, PooledRunsMatchFreshInstance)
     auto cfg = uarch::smallBoomConfig();
     auto cases = triggeredCases(cfg, 3);
     ASSERT_GE(cases.size(), 2u);
-    auto options = fullOptions(ift::IftMode::DiffIFT, true);
+    auto options = fullOptions(ift::IftMode::DiffIFT);
 
     // Dirty the pooled instance with every other case first, then run
     // the probe case; a fresh instance runs only the probe. Reset
@@ -381,7 +370,7 @@ TEST(DualSimReuse, PooledRunSingleMatchesFresh)
     DualSim pooled(cfg);
     (void)pooled.runSingle(other.schedule, other.data, options);
     (void)pooled.runDual(other.schedule, other.data,
-                         fullOptions(ift::IftMode::DiffIFT, true));
+                         fullOptions(ift::IftMode::DiffIFT));
     auto reused = pooled.runSingle(poc.schedule, poc.data, options);
 
     DualSim fresh(cfg);
@@ -393,7 +382,7 @@ TEST(DualSimReuse, OutParamBuffersAreReusedAcrossRuns)
 {
     auto cfg = uarch::smallBoomConfig();
     auto poc = bench::spectreV1();
-    auto options = fullOptions(ift::IftMode::DiffIFT, true);
+    auto options = fullOptions(ift::IftMode::DiffIFT);
 
     DualSim sim(cfg);
     DualResult pooled_result;
@@ -412,7 +401,7 @@ TEST(DualSimReuse, ShorterRunAfterLongerRunSeesNoStaleTraces)
     auto cfg = uarch::smallBoomConfig();
     auto long_poc = bench::spectreV2();
     auto short_poc = bench::spectreV1();
-    auto options = fullOptions(ift::IftMode::DiffIFT, true);
+    auto options = fullOptions(ift::IftMode::DiffIFT);
 
     DualSim pooled(cfg);
     (void)pooled.runDual(long_poc.schedule, long_poc.data, options);
